@@ -10,6 +10,7 @@ package crash
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"supermem/internal/alloc"
 	"supermem/internal/fault"
@@ -231,8 +232,10 @@ func RunNested(p Params, crashAt, recoveryCrashAt int) (Result, error) {
 	return res, err
 }
 
-// runAndRecover is the shared engine of Run/RunNested: it also returns
-// the final recovered machine so the fuzzer can diff divergent bytes.
+// runAndRecover is the shared engine of Run/RunNested/RunFault: it
+// runs to the crash and hands the crashed machine to recoverAndCheck,
+// returning the final recovered machine so callers can diff divergent
+// bytes or read its fault statistics.
 func runAndRecover(p Params, crashAt, recoveryCrashAt int, inj *fault.Injector) (Result, *machine.Machine, error) {
 	p = p.withDefaults()
 	m, w, completed, err := runToCrash(p, crashAt, inj)
@@ -252,6 +255,15 @@ func runAndRecover(p Params, crashAt, recoveryCrashAt int, inj *fault.Injector) 
 		}
 		return Result{}, nil, err
 	}
+	return recoverAndCheck(p, m, w, completed, crashAt, recoveryCrashAt, newReplayMemo(p))
+}
+
+// recoverAndCheck is the post-crash half of a crash experiment: it
+// recovers the machine runToCrash left (with a nested crash armed at
+// recoveryCrashAt when non-negative), runs the redo log, and checks the
+// result against the replays. Machine.Recover only reads its
+// predecessor, so one crashed machine can serve any number of calls.
+func recoverAndCheck(p Params, m *machine.Machine, w workload.Workload, completed, crashAt, recoveryCrashAt int, replays *replayMemo) (Result, *machine.Machine, error) {
 	res := Result{CrashStep: crashAt, RecoveryCrashStep: -1, CompletedSteps: completed, Crashed: m.Crashed()}
 	if !m.Crashed() {
 		// The run finished before the injection point; verify in place.
@@ -284,20 +296,16 @@ func runAndRecover(p Params, crashAt, recoveryCrashAt int, inj *fault.Injector) 
 	}
 	res.RecoveryProbes = r.OsirisProbes()
 
-	// The recovered structure must equal the replayed state after
-	// either `completed` or `completed+1` transactions.
-	for _, n := range []int{completed, completed + 1} {
-		ok, err := matchesReplay(p, r, n)
-		if err != nil {
-			return Result{}, nil, err
-		}
-		if ok {
-			res.Consistent = true
-			return res, r, nil
-		}
+	ok, err := replays.matches(r, completed)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	if ok {
+		res.Consistent = true
+		return res, r, nil
 	}
 	// Capture a diagnostic from the nearer replay.
-	replayW, _, err := replay(p, res.CompletedSteps)
+	replayW, err := replays.get(completed)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -325,13 +333,53 @@ func replay(p Params, n int) (workload.Workload, *pmem.TracingBackend, error) {
 	return w, b, nil
 }
 
-// matchesReplay checks the recovered machine against the n-step replay.
-func matchesReplay(p Params, r *machine.Machine, n int) (bool, error) {
-	w, _, err := replay(p, n)
-	if err != nil {
-		return false, err
+// replayMemo memoizes replay by step count, one slot per n in
+// 0..Steps+1, each built on first use; Verify only reads the workload,
+// so every crash point and worker can check against the same replay.
+// The mode is not part of the key: build only looks at the backend's
+// type, and replays run on a TracingBackend, so all modes share one
+// memo. Only the workload is kept: TracingBackend.Load grows the
+// backend, so a diff against replayed bytes takes a fresh replay.
+type replayMemo struct {
+	p     Params
+	slots []replaySlot
+}
+
+type replaySlot struct {
+	once sync.Once
+	w    workload.Workload
+	err  error
+}
+
+func newReplayMemo(p Params) *replayMemo {
+	return &replayMemo{p: p, slots: make([]replaySlot, p.Steps+2)}
+}
+
+// get returns the n-step replay; an n outside the slots replays afresh.
+func (rm *replayMemo) get(n int) (workload.Workload, error) {
+	if n < 0 || n >= len(rm.slots) {
+		w, _, err := replay(rm.p, n)
+		return w, err
 	}
-	return w.Verify(r) == nil, nil
+	s := &rm.slots[n]
+	s.once.Do(func() { s.w, _, s.err = replay(rm.p, n) })
+	return s.w, s.err
+}
+
+// matches reports whether the recovered machine holds the replayed
+// state after either completed or completed+1 transactions
+// (transaction atomicity).
+func (rm *replayMemo) matches(r *machine.Machine, completed int) (bool, error) {
+	for _, n := range []int{completed, completed + 1} {
+		w, err := rm.get(n)
+		if err != nil {
+			return false, err
+		}
+		if w.Verify(r) == nil {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // SweepResult aggregates a crash-point sweep.

@@ -1,9 +1,14 @@
 package crash
 
 import (
+	"bytes"
+	"reflect"
+	"sync"
 	"testing"
 
+	"supermem/internal/config"
 	"supermem/internal/machine"
+	"supermem/internal/pmem"
 	"supermem/internal/workload"
 )
 
@@ -73,19 +78,77 @@ func TestBatteryRestoresConsistency(t *testing.T) {
 	}
 }
 
+// The replay memo hands one n-step replay to every crash point, so two
+// replays of the same seed must agree byte for byte: the same op
+// stream, the same lines with the same contents, and each verifies the
+// other's backend.
 func TestReplayDeterminism(t *testing.T) {
 	p := Params{Mode: machine.WTRegister, Workload: "rbtree", Steps: 8}.withDefaults()
-	w1, _, err := replay(p, 8)
+	w1, b1, err := replay(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, _, err := replay(p, 8)
+	w2, b2, err := replay(p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two replays of the same seed must agree on their own backends.
-	if w1.Name() != w2.Name() {
-		t.Fatal("replay built different workloads")
+	// Ops first: Load below appends Read ops.
+	if !reflect.DeepEqual(b1.Ops(), b2.Ops()) {
+		t.Fatal("replays recorded different op streams")
+	}
+	lines := b1.Lines()
+	if !reflect.DeepEqual(lines, b2.Lines()) {
+		t.Fatalf("replays materialized different lines: %d vs %d", len(lines), len(b2.Lines()))
+	}
+	for _, base := range lines {
+		if x, y := b1.Load(base, config.LineSize), b2.Load(base, config.LineSize); !bytes.Equal(x, y) {
+			t.Fatalf("line %#x differs: %x vs %x", base, x, y)
+		}
+	}
+	if err := w1.Verify(b2); err != nil {
+		t.Fatalf("replay 1 rejects replay 2: %v", err)
+	}
+	if err := w2.Verify(b1); err != nil {
+		t.Fatalf("replay 2 rejects replay 1: %v", err)
+	}
+}
+
+// Fuzz workers verify one memoized replay at the same time, so Verify
+// must only read its workload. Run under -race: four goroutines share
+// one replay from the memo, each verifying its own backend.
+func TestSharedReplayVerifiesConcurrently(t *testing.T) {
+	const workers = 4
+	for _, wl := range workload.Names {
+		p := Params{Mode: machine.WTRegister, Workload: wl, Steps: 4}.withDefaults()
+		replays := newReplayMemo(p)
+		backends := make([]*pmem.TracingBackend, workers)
+		for i := range backends {
+			var err error
+			if _, backends[i], err = replay(p, p.Steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make([]workload.Workload, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for i := range backends {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if got[i], errs[i] = replays.get(p.Steps); errs[i] == nil {
+					errs[i] = got[i].Verify(backends[i])
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("%s: worker %d: %v", wl, i, err)
+			}
+			if got[i] != got[0] {
+				t.Errorf("%s: worker %d got its own replay, not the shared one", wl, i)
+			}
+		}
 	}
 }
 

@@ -78,15 +78,10 @@ func RunLoopIteration(p Params, crashAt, bound int) (LoopResult, error) {
 	out.BoundedPasses = r.BoundedRecoveries()
 	pmem.Recover(r, logBase, logSize)
 	out.RecoveryPersists = r.Persists()
-	for _, n := range []int{completed, completed + 1} {
-		ok, err := matchesReplay(p, r, n)
-		if err != nil {
-			return LoopResult{}, err
-		}
-		if ok {
-			out.Consistent = true
-			break
-		}
+	ok, err := newReplayMemo(p).matches(r, completed)
+	if err != nil {
+		return LoopResult{}, err
 	}
+	out.Consistent = ok
 	return out, nil
 }

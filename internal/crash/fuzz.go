@@ -14,6 +14,7 @@ import (
 	"supermem/internal/par"
 	"supermem/internal/pmem"
 	"supermem/internal/scheme"
+	"supermem/internal/workload"
 )
 
 // The differential crash-consistency fuzzer. Where Sweep checks one
@@ -263,8 +264,11 @@ func (r *FuzzResult) String() string {
 func Fuzz(fp FuzzParams) (*FuzzResult, error) {
 	fp = fp.withDefaults()
 	res := &FuzzResult{Params: fp}
+	// Replays do not depend on the mode (see replayMemo), so one memo,
+	// built from any mode's params, serves every mode and worker.
+	replays := newReplayMemo(fp.params(0))
 	for _, mode := range fp.Modes {
-		v, err := fuzzMode(fp, mode)
+		v, err := fuzzMode(fp, mode, replays)
 		if err != nil {
 			return nil, fmt.Errorf("crash: fuzz %v/%s: %w", mode, fp.Workload, err)
 		}
@@ -280,7 +284,11 @@ type pointOutcome struct {
 	nested []Result
 }
 
-func fuzzMode(fp FuzzParams, mode machine.Mode) (ModeVerdict, error) {
+// fuzzMode runs each sampled point to its crash once: the outer
+// recovery and every nested one recover the same crashed machine, and
+// the outer successor's persist count is the recovery path's length
+// that the nested points are sampled from.
+func fuzzMode(fp FuzzParams, mode machine.Mode, replays *replayMemo) (ModeVerdict, error) {
 	p := fp.params(mode)
 	total, stageStarts, err := persistProfile(p)
 	if err != nil {
@@ -294,18 +302,18 @@ func fuzzMode(fp FuzzParams, mode machine.Mode) (ModeVerdict, error) {
 	}
 	err = par.ForEachIndex(workers, len(points), func(i int) error {
 		crashAt := points[i]
-		outer, err := Run(p, crashAt)
+		m, w, completed, err := runToCrash(p, crashAt, nil)
+		if err != nil {
+			return err
+		}
+		outer, r, err := recoverAndCheck(p, m, w, completed, crashAt, -1, replays)
 		if err != nil {
 			return err
 		}
 		o := pointOutcome{outer: outer}
 		if fp.Nested && outer.Crashed {
-			rp, err := recoveryPersists(p, crashAt)
-			if err != nil {
-				return err
-			}
-			for _, j := range sampleNested(rp, fp.MaxNested, fp.SampleSeed, crashAt) {
-				nres, err := RunNested(p, crashAt, j)
+			for _, j := range sampleNested(r.Persists(), fp.MaxNested, fp.SampleSeed, crashAt) {
+				nres, _, err := recoverAndCheck(p, m, w, completed, crashAt, j, replays)
 				if err != nil {
 					return err
 				}
@@ -341,7 +349,7 @@ func fuzzMode(fp FuzzParams, mode machine.Mode) (ModeVerdict, error) {
 		}
 	}
 	if len(v.Inconsistent) > 0 {
-		sh, err := shrink(p, v.Inconsistent[0])
+		sh, err := shrink(p, v.Inconsistent[0], replays)
 		if err != nil {
 			return ModeVerdict{}, err
 		}
@@ -446,51 +454,57 @@ func sampleNested(recoverySteps, max int, seed int64, crashAt int) []int {
 // one — the upper bound always fails — so the result is the earliest
 // failing index in the monotone sense (every probed index below it
 // recovered). The divergent lines at the minimized point are diffed
-// against the replay.
-func shrink(p Params, fail Result) (*Shrink, error) {
+// against a fresh replay.
+func shrink(p Params, fail Result, replays *replayMemo) (*Shrink, error) {
 	sh := &Shrink{CrashStep: fail.CrashStep, RecoveryCrashStep: -1, Detail: fail.Detail}
-	probe := func(outer, rec int) (Result, error) {
-		sh.Probes++
-		if rec >= 0 {
-			return RunNested(p, outer, rec)
+	// recoverAt keeps the last crashed machine, so a nested shrink runs
+	// its fixed outer point to the crash once and recovers it per probe.
+	var (
+		m         *machine.Machine
+		w         workload.Workload
+		completed int
+		crashedAt = -1
+	)
+	recoverAt := func(outer, rec int) (Result, *machine.Machine, error) {
+		if crashedAt != outer {
+			var err error
+			if m, w, completed, err = runToCrash(p, outer, nil); err != nil {
+				return Result{}, nil, err
+			}
+			crashedAt = outer
 		}
-		return Run(p, outer)
+		return recoverAndCheck(p, m, w, completed, outer, rec, replays)
 	}
-	if fail.RecoveryCrashStep >= 0 {
-		lo, hi := 0, fail.RecoveryCrashStep
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			res, err := probe(fail.CrashStep, mid)
-			if err != nil {
-				return nil, err
-			}
-			if !res.Consistent {
-				hi = mid
-				sh.Detail = res.Detail
-			} else {
-				lo = mid + 1
-			}
+	nested := fail.RecoveryCrashStep >= 0
+	lo, hi := 0, fail.CrashStep
+	if nested {
+		hi = fail.RecoveryCrashStep
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		outer, rec := mid, -1
+		if nested {
+			outer, rec = fail.CrashStep, mid
 		}
+		sh.Probes++
+		res, _, err := recoverAt(outer, rec)
+		if err != nil {
+			return nil, err
+		}
+		if !res.Consistent {
+			hi = mid
+			sh.Detail = res.Detail
+		} else {
+			lo = mid + 1
+		}
+	}
+	if nested {
 		sh.RecoveryCrashStep = hi
 	} else {
-		lo, hi := 0, fail.CrashStep
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			res, err := probe(mid, -1)
-			if err != nil {
-				return nil, err
-			}
-			if !res.Consistent {
-				hi = mid
-				sh.Detail = res.Detail
-			} else {
-				lo = mid + 1
-			}
-		}
 		sh.CrashStep = hi
 	}
 
-	res, r, err := runAndRecover(p, sh.CrashStep, sh.RecoveryCrashStep, nil)
+	res, r, err := recoverAt(sh.CrashStep, sh.RecoveryCrashStep)
 	if err != nil {
 		return nil, err
 	}
@@ -498,6 +512,8 @@ func shrink(p Params, fail Result) (*Shrink, error) {
 		if sh.Detail == "" {
 			sh.Detail = res.Detail
 		}
+		// A fresh replay, not the memo's: diffLines reads the backend,
+		// and TracingBackend.Load grows it.
 		_, tb, err := replay(p, res.CompletedSteps)
 		if err != nil {
 			return nil, err

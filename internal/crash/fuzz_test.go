@@ -60,6 +60,148 @@ func TestFuzzDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
+// Fuzz crashes each point once, recovers that one machine for the
+// outer and every nested check, and memoizes replays. The oracle is the
+// algorithm without that sharing, built from independent calls per
+// point — Run, recoveryPersists, RunNested — with a shrink whose every
+// probe reruns the workload. The verdicts must be identical, minimized
+// failures included.
+func TestFuzzMatchesIndependentRuns(t *testing.T) {
+	for _, wl := range []string{"array", "hashtable"} {
+		fp := FuzzParams{Workload: wl, Steps: 3, Nested: true, MaxNested: 2, Modes: AllModes}
+		got, err := Fuzz(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp = fp.withDefaults()
+		for i, mode := range AllModes {
+			want, err := independentVerdict(fp, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Verdicts[i], want) {
+				t.Errorf("%s/%v: Fuzz verdict\n%+v\nindependent calls\n%+v", wl, mode, got.Verdicts[i], want)
+			}
+			// Minimized shrinks the first failure, an outer point in
+			// these runs; shrink the last nested failure both ways too.
+			for j := len(want.Inconsistent) - 1; j >= 0; j-- {
+				if fail := want.Inconsistent[j]; fail.RecoveryCrashStep > 0 {
+					p := fp.params(mode)
+					sh, err := shrink(p, fail, newReplayMemo(p))
+					if err != nil {
+						t.Fatal(err)
+					}
+					ind, err := independentShrink(p, fail)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(sh, ind) {
+						t.Errorf("%s/%v: nested shrink of %d/%d: %+v, independent calls %+v", wl, mode, fail.CrashStep, fail.RecoveryCrashStep, sh, ind)
+					}
+					break
+				}
+			}
+		}
+	}
+}
+
+func independentVerdict(fp FuzzParams, mode machine.Mode) (ModeVerdict, error) {
+	p := fp.params(mode)
+	total, stageStarts, err := persistProfile(p)
+	if err != nil {
+		return ModeVerdict{}, err
+	}
+	points := samplePoints(total, stageStarts, fp.MaxPoints, fp.SampleSeed)
+	v := ModeVerdict{
+		Mode: mode, Name: mode.String(),
+		TotalPoints: total, Tested: len(points),
+		ExpectedOK: ExpectedConsistent(mode, fp.Workload),
+	}
+	for _, crashAt := range points {
+		outer, err := Run(p, crashAt)
+		if err != nil {
+			return ModeVerdict{}, err
+		}
+		results := []Result{outer}
+		if outer.Crashed {
+			v.Crashed++
+			rp, err := recoveryPersists(p, crashAt)
+			if err != nil {
+				return ModeVerdict{}, err
+			}
+			for _, j := range sampleNested(rp, fp.MaxNested, fp.SampleSeed, crashAt) {
+				nres, err := RunNested(p, crashAt, j)
+				if err != nil {
+					return ModeVerdict{}, err
+				}
+				results = append(results, nres)
+				v.NestedTested++
+			}
+		}
+		for _, r := range results {
+			if !r.Consistent {
+				v.Inconsistent = append(v.Inconsistent, r)
+			}
+			v.RecoveryProbes += r.RecoveryProbes
+		}
+	}
+	if len(v.Inconsistent) > 0 {
+		if v.Minimized, err = independentShrink(p, v.Inconsistent[0]); err != nil {
+			return ModeVerdict{}, err
+		}
+	}
+	return v, nil
+}
+
+func independentShrink(p Params, fail Result) (*Shrink, error) {
+	sh := &Shrink{CrashStep: fail.CrashStep, RecoveryCrashStep: -1, Detail: fail.Detail}
+	nested := fail.RecoveryCrashStep >= 0
+	lo, hi := 0, fail.CrashStep
+	if nested {
+		hi = fail.RecoveryCrashStep
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		sh.Probes++
+		var res Result
+		var err error
+		if nested {
+			res, err = RunNested(p, fail.CrashStep, mid)
+		} else {
+			res, err = Run(p, mid)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !res.Consistent {
+			hi = mid
+			sh.Detail = res.Detail
+		} else {
+			lo = mid + 1
+		}
+	}
+	if nested {
+		sh.RecoveryCrashStep = hi
+	} else {
+		sh.CrashStep = hi
+	}
+	res, r, err := runAndRecover(p, sh.CrashStep, sh.RecoveryCrashStep, nil)
+	if err != nil {
+		return nil, err
+	}
+	if !res.Consistent {
+		if sh.Detail == "" {
+			sh.Detail = res.Detail
+		}
+		_, tb, err := replay(p, res.CompletedSteps)
+		if err != nil {
+			return nil, err
+		}
+		sh.Diffs = diffLines(r, tb)
+	}
+	return sh, nil
+}
+
 // A failing mode is minimized: the shrunk point must itself fail, come
 // no later than the first reported failure, and carry the divergent
 // byte ranges with their counter lines.

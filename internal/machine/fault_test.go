@@ -2,10 +2,14 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"supermem/internal/config"
+	"supermem/internal/ctr"
 	"supermem/internal/fault"
+	"supermem/internal/scheme"
 )
 
 // flush stores and persists one line-aligned payload.
@@ -130,31 +134,108 @@ func TestInjectorStepSurvivesRecover(t *testing.T) {
 }
 
 func TestRecoverTwiceIsStable(t *testing.T) {
-	// Satellite coverage: Recover invoked twice on the same crashed
-	// machine must produce two independent, equally-correct successors —
-	// recovery reads persistent state only and must not mutate the
-	// predecessor.
-	for _, mode := range []Mode{Unencrypted, WTRegister, WBBattery, Osiris} {
-		m := newM(t, mode)
-		payload := []byte("stable across double recovery")
-		m.Store(4096, payload)
-		m.CLWB(4096)
-		m.SFence()
-		m.Crash()
-		r1 := m.Recover()
-		r2 := m.Recover()
-		got1 := r1.Load(4096, len(payload))
-		got2 := r2.Load(4096, len(payload))
-		if !bytes.Equal(got1, payload) || !bytes.Equal(got2, payload) {
-			t.Errorf("%v: double recovery diverged: %q vs %q (want %q)", mode, got1, got2, payload)
-		}
-		// And a successor can itself recover (recover-of-recovered).
-		r1.Crash()
-		r3 := r1.Recover()
-		if got := r3.Load(4096, len(payload)); !bytes.Equal(got, payload) {
-			t.Errorf("%v: second-generation recovery lost data: %q", mode, got)
+	// Recover reads its predecessor and never modifies it, in every
+	// mode: two plain recoveries of one crashed machine agree even when,
+	// between them, the machine is recovered with a crash armed at every
+	// step of the recovery path and each such successor recovers again.
+	// The crash fuzzer relies on this to recover one crashed machine
+	// once per nested crash point.
+	payload := []byte("stable across double recovery")
+	crashes := []struct {
+		name  string
+		crash func(mode Mode) *Machine
+		// addr holds want, durable before the crash.
+		addr uint64
+		want []byte
+	}{
+		{"mid-transaction", func(mode Mode) *Machine {
+			m := newM(t, mode)
+			flush(m, 4096, payload)
+			m.FlushCounters()
+			// A four-line transaction over two pages, cut after its
+			// second persist.
+			m.ArmCrashAtPersist(2)
+			for _, a := range []uint64{8192, 8192 + config.LineSize, 12288, 12288 + config.LineSize} {
+				flush(m, a, payload)
+			}
+			return m
+		}, 4096, payload},
+		{"mid-RSR", func(mode Mode) *Machine {
+			// As in TestReencryptionCrashRecoverableAtEveryStep: line 0's
+			// minor reaches its maximum, so its next flush re-encrypts
+			// page 0, and the crash lands halfway through that sweep.
+			m := newM(t, mode)
+			for i := 0; i < config.LinesPerPage; i++ {
+				flush(m, uint64(i*config.LineSize), []byte{byte(i), byte(i + 1)})
+			}
+			for i := 1; i < ctr.MinorMax; i++ {
+				flush(m, 0, []byte{0xAA})
+			}
+			m.ArmCrashAtPersist(config.LinesPerPage / 2)
+			flush(m, 0, []byte{0xBB})
+			if !m.pol.Encrypted {
+				m.Crash() // no counters, so nothing re-encrypts
+			} else if m.rsr == nil {
+				t.Fatalf("%v: crash missed the re-encryption", mode)
+			}
+			return m
+		}, 63 * config.LineSize, []byte{63, 64}},
+	}
+	for _, mode := range scheme.Modes() {
+		for _, c := range crashes {
+			m := c.crash(mode)
+			if !m.Crashed() {
+				t.Fatalf("%v %s: the crash point was never reached", mode, c.name)
+			}
+			r1 := m.Recover()
+			for j := 0; j < r1.Persists(); j++ {
+				m.Recover(WithCrashAtPersist(j)).Recover()
+			}
+			r2 := m.Recover()
+			if err := sameRecovered(r1, r2); err != nil {
+				t.Errorf("%v %s: %v", mode, c.name, err)
+			}
+			if got := r1.Load(c.addr, len(c.want)); !bytes.Equal(got, c.want) {
+				t.Errorf("%v %s: recovery lost durable data: %q", mode, c.name, got)
+			}
+			// And a successor can itself recover (recover-of-recovered).
+			r1.Crash()
+			if got := r1.Recover().Load(c.addr, len(c.want)); !bytes.Equal(got, c.want) {
+				t.Errorf("%v %s: second-generation recovery lost data: %q", mode, c.name, got)
+			}
 		}
 	}
+}
+
+// sameRecovered reports the first way two recovered machines differ:
+// persisted lines and their bytes, persisted counters, the tree image,
+// the Osiris probe count and the persist count.
+func sameRecovered(a, b *Machine) error {
+	lines := a.NVMLines()
+	if !reflect.DeepEqual(lines, b.NVMLines()) {
+		return fmt.Errorf("NVM lines differ: %d vs %d", len(lines), len(b.NVMLines()))
+	}
+	for _, base := range lines {
+		if x, y := a.Load(base, config.LineSize), b.Load(base, config.LineSize); !bytes.Equal(x, y) {
+			return fmt.Errorf("line %#x differs: %x vs %x", base, x, y)
+		}
+		page := base / config.PageSize
+		xl, xok := a.PersistedCounter(page)
+		yl, yok := b.PersistedCounter(page)
+		if xl != yl || xok != yok {
+			return fmt.Errorf("page %d counter differs: %v/%v vs %v/%v", page, xl, xok, yl, yok)
+		}
+	}
+	if !bytes.Equal(a.TreeSnapshot(), b.TreeSnapshot()) {
+		return fmt.Errorf("tree snapshots differ")
+	}
+	if a.OsirisProbes() != b.OsirisProbes() {
+		return fmt.Errorf("osiris probes %d vs %d", a.OsirisProbes(), b.OsirisProbes())
+	}
+	if a.Persists() != b.Persists() {
+		return fmt.Errorf("persists %d vs %d", a.Persists(), b.Persists())
+	}
+	return nil
 }
 
 func TestLoadStoreSpanLineBoundary(t *testing.T) {

@@ -29,7 +29,9 @@ type Workload interface {
 	// Step executes one durable transaction of about TxBytes payload.
 	Step(tm *pmem.TxManager) error
 	// Verify checks the structure's invariants by reading through the
-	// backend; it reports corruption after crashes.
+	// backend; it reports corruption after crashes. It must not modify
+	// the workload: the crash fuzzer verifies one shared replay from
+	// several workers at once, each with its own backend.
 	Verify(b pmem.Backend) error
 }
 
