@@ -2,11 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+
+	"supermem/internal/bench"
+	"supermem/internal/config"
 )
 
 // perfRuns decodes a perf-trajectory file's runs generically, so the
@@ -72,5 +78,150 @@ func TestAppendPerfKeepsHistory(t *testing.T) {
 	}
 	if !legacy {
 		t.Error("no earlier run has a field perfRun lacks; the test no longer checks history retention")
+	}
+}
+
+// TestRegistryConformance holds every registry entry to the CLI's
+// contract: unique names, artifact paths and flags, selectors the docs
+// and CI use select something, and an unknown -exp names the choices.
+func TestRegistryConformance(t *testing.T) {
+	exps := bench.Experiments()
+	names, paths, flags := map[string]bool{}, map[string]bool{}, map[string]string{}
+	for _, e := range exps {
+		if e.Name == "" || e.Run == nil {
+			t.Errorf("entry %q has no name or no Run", e.Name)
+		}
+		path := "BENCH_" + fileName(e.Name) + ".json"
+		if names[e.Name] || paths[path] {
+			t.Errorf("%s: duplicate name or artifact path %s", e.Name, path)
+		}
+		names[e.Name], paths[path] = true, true
+		if e.Flags == nil {
+			continue
+		}
+		fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+		e.Flags(fs)
+		fs.VisitAll(func(f *flag.Flag) {
+			if owner, dup := flags[f.Name]; dup {
+				t.Errorf("flag -%s registered by both %s and %s", f.Name, owner, e.Name)
+			}
+			flags[f.Name] = e.Name
+		})
+	}
+	// Registering the experiments' flags beside the CLI's own panics on
+	// a clash.
+	if code := run(exps, []string{"-h"}); code != 0 {
+		t.Errorf("-h exit code %d, want 0", code)
+	}
+
+	for _, sel := range []string{"all", "table1", "fig13", "fig13/1024B", "fig14", "fig15", "fig16", "fig17",
+		"ablation", "sca", "osiris", "faultsweep", "integrity", "kv", "attack", "mlp"} {
+		if got, err := selectExperiments(exps, sel); err != nil || len(got) == 0 {
+			t.Errorf("-exp %s selects %d entries, err %v", sel, len(got), err)
+		}
+	}
+	if got, _ := selectExperiments(exps, "all"); len(got) != len(exps) {
+		t.Errorf("-exp all selects %d of %d entries", len(got), len(exps))
+	}
+	_, err := selectExperiments(exps, "fig99")
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	for name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-experiment error does not list %s: %v", name, err)
+		}
+	}
+	if code := run(exps, []string{"-exp", "fig99"}); code != 2 {
+		t.Errorf("unknown -exp exit code %d, want 2", code)
+	}
+}
+
+// fakeResult is a minimal Result for driving the loop.
+type fakeResult struct {
+	Value      int      `json:"value"`
+	Violations []string `json:"-"`
+}
+
+func (r fakeResult) String() string             { return fmt.Sprintf("fake result %d", r.Value) }
+func (r fakeResult) StrictViolations() []string { return r.Violations }
+
+// fakeExperiments returns two cheap entries in one group, recording the
+// observability collector each Run receives. -fake-fail makes both
+// results violate their claim.
+func fakeExperiments(collectors *[]*bench.ObsCollector) []bench.Experiment {
+	fail := false
+	entry := func(name string, value int) bench.Experiment {
+		return bench.Experiment{Name: name, Claim: "the fake holds", Run: func(_ config.Config, o bench.Opts) (bench.Result, error) {
+			*collectors = append(*collectors, o.Obs)
+			r := fakeResult{Value: value}
+			if fail {
+				r.Violations = []string{name + " broke its claim"}
+			}
+			return r, nil
+		}}
+	}
+	a, b := entry("fake/a", 1), entry("fake/b", 2)
+	b.Flags = func(fs *flag.FlagSet) {
+		fs.BoolVar(&fail, "fake-fail", false, "make the fake results violate their claim")
+	}
+	return []bench.Experiment{a, b}
+}
+
+// TestRunLoop drives the CLI loop with two fake experiments: every run
+// lands in -perf-append, -hist hands each Run a fresh collector, the
+// artifact is {"experiment", "result"} only, and -strict gates.
+func TestRunLoop(t *testing.T) {
+	t.Chdir(t.TempDir())
+	var collectors []*bench.ObsCollector
+	if code := run(fakeExperiments(&collectors), []string{"-exp", "fake", "-json", "-hist", "-strict", "-perf-append", "perf.json"}); code != 0 {
+		t.Fatalf("exit code %d, want 0", code)
+	}
+
+	runs := perfRuns(t, "perf.json")
+	var recorded []string
+	for _, e := range runs[len(runs)-1]["experiments"].([]any) {
+		recorded = append(recorded, e.(map[string]any)["name"].(string))
+	}
+	if want := []string{"fake/a", "fake/b"}; !reflect.DeepEqual(recorded, want) {
+		t.Errorf("perf run records %v, want %v", recorded, want)
+	}
+
+	if len(collectors) != 2 || collectors[0] == nil || collectors[0] == collectors[1] {
+		t.Fatalf("-hist collectors %v, want two distinct non-nil ones", collectors)
+	}
+	for i, c := range collectors {
+		if !c.Hist || len(c.Cells()) != 0 {
+			t.Errorf("collector %d: hist %v with %d cells, want a fresh histogram collector", i, c.Hist, len(c.Cells()))
+		}
+	}
+
+	for i, name := range []string{"fake_a", "fake_b"} {
+		data, err := os.ReadFile("BENCH_" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a map[string]any
+		if err := json.Unmarshal(data, &a); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for k := range a {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if want := []string{"experiment", "result"}; !reflect.DeepEqual(keys, want) {
+			t.Errorf("%s keys = %v, want %v", name, keys, want)
+		}
+		if got := a["result"].(map[string]any)["value"]; got != float64(i+1) {
+			t.Errorf("%s result value = %v, want %d", name, got, i+1)
+		}
+	}
+
+	if code := run(fakeExperiments(&collectors), []string{"-exp", "fake/b", "-fake-fail"}); code != 0 {
+		t.Errorf("violation without -strict: exit code %d, want 0", code)
+	}
+	if code := run(fakeExperiments(&collectors), []string{"-exp", "fake/b", "-fake-fail", "-strict"}); code != 1 {
+		t.Errorf("violation under -strict: exit code %d, want 1", code)
 	}
 }

@@ -16,7 +16,6 @@
 //	supermem-crash -maxpoints 64 -seed 7      # sampled (stage-weighted) points
 //	supermem-crash -parallel 4                # worker count (output identical)
 //	supermem-crash -json                      # also write BENCH_crash.json
-//	supermem-crash -mode WB-NoBattery -stride 5   # legacy single-mode sweep
 //	supermem-crash -workload btree -events t.json -hist  # observe a reference run
 //
 // -events and -hist run one crash-free reference transaction sequence
@@ -26,8 +25,8 @@
 // transaction.
 //
 // Determinism contract: for a fixed -seed the tested point set — and
-// therefore the entire report — is byte-identical at any -parallel
-// value.
+// therefore the entire report, BENCH_crash.json included — is
+// byte-identical at any -parallel value.
 package main
 
 import (
@@ -41,25 +40,11 @@ import (
 	"supermem"
 )
 
-// modes maps -mode names to the registered machine designs; it is built
-// from the scheme registry plus the legacy "SuperMem" alias (the
-// registered name of the paper's design is "WT+Register"), so a newly
-// registered mode is selectable without touching this file.
-var modes = func() map[string]supermem.CrashMode {
-	m := make(map[string]supermem.CrashMode)
-	for _, mode := range supermem.CrashModes() {
-		m[mode.String()] = mode
-	}
-	m["SuperMem"] = supermem.CrashSuperMem
-	return m
-}()
-
-// artifact is the machine-readable record -json emits, mirroring
-// supermem-bench's BENCH_<name>.json shape.
+// artifact is the machine-readable record -json emits. Like
+// supermem-bench's BENCH_<name>.json artifacts it carries no wall time
+// or worker count, so it is byte-identical at any -parallel value.
 type artifact struct {
 	Experiment string                      `json:"experiment"`
-	WallMillis int64                       `json:"wall_ms"`
-	Parallel   int                         `json:"parallel"`
 	Seed       int64                       `json:"seed"`
 	Nested     bool                        `json:"nested"`
 	Matrix     []*supermem.CrashFuzzResult `json:"matrix"`
@@ -68,10 +53,8 @@ type artifact struct {
 
 func main() {
 	var (
-		modeName  = flag.String("mode", "", "legacy single-mode sweep: any registered mode name (e.g. SuperMem, WT-NoRegister, WB+Battery, WB-NoBattery, Osiris, Unencrypted)")
 		wl        = flag.String("workload", "", "workload (default: all): array, queue, btree, hashtable, rbtree")
 		steps     = flag.Int("steps", 8, "transactions per run")
-		stride    = flag.Int("stride", 0, "legacy sweep: test every stride-th persistence step")
 		seed      = flag.Int64("seed", 1, "workload and sampling seed (results are deterministic per seed)")
 		maxPoints = flag.Int("maxpoints", 0, "cap on crash points per mode (0 = exhaustive; sampling is stage-weighted)")
 		nested    = flag.Bool("nested", false, "also inject crashes at every persistence step of the recovery path")
@@ -87,13 +70,6 @@ func main() {
 	workloads := supermem.Workloads()
 	if *wl != "" {
 		workloads = []string{*wl}
-	}
-
-	// Legacy path: a single-mode stride sweep, kept for scripts that
-	// predate the differential fuzzer.
-	if *modeName != "" || *stride > 0 {
-		runLegacySweep(*modeName, workloads, *steps, *stride)
-		return
 	}
 
 	if *events != "" || *hist {
@@ -130,8 +106,6 @@ func main() {
 	if *jsonOut {
 		writeArtifact(artifact{
 			Experiment: "crash",
-			WallMillis: time.Since(start).Milliseconds(),
-			Parallel:   *parallel,
 			Seed:       *seed,
 			Nested:     *nested,
 			Matrix:     results,
@@ -186,53 +160,6 @@ func observeReferenceRuns(workloads []string, steps int, events string, eventsMa
 		os.Exit(1)
 	}
 	fmt.Printf("[wrote %s; open at ui.perfetto.dev]\n", events)
-}
-
-func runLegacySweep(modeName string, workloads []string, steps, stride int) {
-	var runModes []string
-	if modeName != "" {
-		if _, ok := modes[modeName]; !ok {
-			fmt.Fprintf(os.Stderr, "supermem-crash: unknown mode %q\n", modeName)
-			os.Exit(2)
-		}
-		runModes = []string{modeName}
-	} else {
-		// Sweep every registered mode in registry order, presenting the
-		// paper's design under its legacy sweep name.
-		for _, mode := range supermem.CrashModes() {
-			name := mode.String()
-			if mode == supermem.CrashSuperMem {
-				name = "SuperMem"
-			}
-			runModes = append(runModes, name)
-		}
-	}
-	if stride < 1 {
-		stride = 1
-	}
-	for _, mn := range runModes {
-		for _, w := range workloads {
-			res, err := supermem.CrashSweep(modes[mn], w, steps, stride)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "supermem-crash: %s/%s: %v\n", mn, w, err)
-				os.Exit(1)
-			}
-			verdict := "CONSISTENT"
-			if !res.Consistent() {
-				verdict = "INCONSISTENT"
-			}
-			fmt.Printf("%-14s %-10s %4d points %4d crashed  %s\n", mn, w, res.TotalPoints, res.Crashed, verdict)
-			for i, r := range res.Inconsistent {
-				if i >= 3 {
-					fmt.Printf("    ... and %d more\n", len(res.Inconsistent)-3)
-					break
-				}
-				fmt.Printf("    crash@%d after %d txs: %s\n", r.CrashStep, r.CompletedSteps, r.Detail)
-			}
-		}
-	}
-	// Corruption on designs without counter atomicity is the expected
-	// demonstration, not a failure of the tool.
 }
 
 func writeArtifact(a artifact) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"runtime"
 	"sort"
@@ -230,6 +231,22 @@ const (
 	recoveryPassSlack = 8
 )
 
+// attackExperiment is the registry entry with its -attack-* flags.
+func attackExperiment() Experiment {
+	var ao AttackOpts
+	return Experiment{
+		Name:  "attack",
+		Claim: "every attack did damage unmitigated and every mitigation measurably reduced it",
+		Flags: func(fs *flag.FlagSet) {
+			fs.IntVar(&ao.Steps, "attack-steps", 0, "measured attacker steps per timing cell for -exp attack (default 64)")
+			fs.IntVar(&ao.LoopIterations, "attack-loop", 0, "crash-loop iterations for -exp attack (default 6)")
+			fs.IntVar(&ao.RecoveryBound, "attack-bound", 0, "recovery-work bound of the mitigated crash-loop cells (default 16)")
+			fs.StringVar(&ao.AttackerModel, "attack-core", "", "attacker core timing model for -exp attack (inorder or ooo; victims stay in-order)")
+		},
+		Run: func(cfg config.Config, o Opts) (Result, error) { return AttackSweep(cfg, o, ao) },
+	}
+}
+
 // AttackSweep runs the full attack x scheme x {mitigation off, on}
 // grid and reports amplification, victim tail latency, and crash-loop
 // recovery cost for each point.
@@ -326,18 +343,11 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 	}
 
 	// The experiment needs per-core histograms and the mitigation
-	// series, so it always runs with its own collector (Opts.Obs is not
+	// series, so it always observes its cells (Opts.Obs is not
 	// consulted).
-	col := &ObsCollector{Hist: true}
-	r := NewRunner(o.Parallel)
-	r.Obs = col
-	ms, err := r.RunCells(cells)
+	ms, recs, err := NewRunner(o.Parallel).RunObserved(cells)
 	if err != nil {
 		return nil, fmt.Errorf("attack: %w", err)
-	}
-	obsCells := col.Cells()
-	if len(obsCells) != len(cells) {
-		return nil, fmt.Errorf("attack: %d observed cells for %d specs", len(obsCells), len(cells))
 	}
 
 	res := &AttackResult{
@@ -359,7 +369,7 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 		benign := ms[ci]
 		for k, mitigated := range []bool{false, true} {
 			m := ms[ci+1+k]
-			rec := obsCells[ci+1+k].Rec
+			rec := recs[ci+1+k]
 			amp := 0.0
 			if bw := attackWrites(benign); bw > 0 {
 				amp = float64(attackWrites(m)) / float64(bw)
@@ -382,12 +392,12 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 		}
 		// The baseline cell runs one core, so RoleSplit() puts it all in
 		// the victim histogram.
-		_, baseVictim := obsCells[ci+3].Rec.RoleSplit()
+		_, baseVictim := recs[ci+3].RoleSplit()
 		baseP99 := baseVictim.Quantile(0.99)
 		baseWrites := attackWrites(ms[ci+3])
 		for k, mitigated := range []bool{false, true} {
 			m := ms[ci+4+k]
-			rec := obsCells[ci+4+k].Rec
+			rec := recs[ci+4+k]
 			attacker, victim := rec.RoleSplit(0)
 			p99 := victim.Quantile(0.99)
 			slow := 0.0
@@ -581,12 +591,12 @@ func crashLoopCells(mode machine.Mode, o Opts, ao AttackOpts, workers int) (off,
 	return off, on, nil
 }
 
-// StrictViolations returns the graceful-degradation violations the
-// -attack-strict CLI flag fails on: an attack that did no damage
-// unmitigated (amplification < 2x, no victim slowdown), a mitigation
-// that did not measurably reduce it, a recovery pass exceeding the
-// bound, an inconsistent crash-loop recovery, or a non-survivable
-// fault outcome. An empty slice means the attack story held.
+// StrictViolations returns the graceful-degradation violations -strict
+// fails on: an attack that did no damage unmitigated (amplification <
+// 2x, no victim slowdown), a mitigation that did not measurably reduce
+// it, a recovery pass exceeding the bound, an inconsistent crash-loop
+// recovery, or a non-survivable fault outcome. An empty slice means the
+// attack story held.
 func (r *AttackResult) StrictViolations() []string {
 	var v []string
 	for i := 0; i+1 < len(r.Hammer); i += 2 {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"runtime"
 
@@ -122,6 +123,26 @@ type faultRun struct {
 	workload string
 	planSeed int64
 	crashAt  int
+}
+
+// faultSweepExperiment is the registry entry; -fault-seed picks the
+// plan seeds.
+func faultSweepExperiment() Experiment {
+	var seed int64
+	return Experiment{
+		Name:  "faultsweep",
+		Claim: "zero silent corruptions under strong ECC; failing bank quarantined and remapped",
+		Flags: func(fs *flag.FlagSet) {
+			fs.Int64Var(&seed, "fault-seed", 0, "base seed for the faultsweep's generated plans (0 = default)")
+		},
+		Run: func(_ config.Config, o Opts) (Result, error) {
+			fo := FaultSweepOpts{Parallel: o.Parallel}
+			if seed != 0 {
+				fo.PlanSeeds = []int64{seed, seed + 1}
+			}
+			return FaultSweep(fo)
+		},
+	}
 }
 
 // FaultSweep runs the full fault x crash x ECC grid plus the bank
@@ -272,10 +293,10 @@ func quarantineCell() (QuarantineCell, error) {
 	}, nil
 }
 
-// StrictViolations returns the no-silent-corruption violations the
-// -fault-strict CLI flag fails on: any Silent outcome in a cell whose
-// ECC profile detects unboundedly ("strong"), or a quarantine cell
-// that never remapped. An empty slice means the headline claim held.
+// StrictViolations returns the no-silent-corruption violations -strict
+// fails on: any Silent outcome in a cell whose ECC profile detects
+// unboundedly ("strong"), or a quarantine cell that never remapped. An
+// empty slice means the headline claim held.
 func (r *FaultSweepResult) StrictViolations() []string {
 	var v []string
 	for _, c := range r.Cells {

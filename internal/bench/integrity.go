@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"supermem/internal/config"
-	"supermem/internal/core"
 	"supermem/internal/crash"
 	"supermem/internal/fault"
 	"supermem/internal/machine"
@@ -212,7 +211,7 @@ func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) {
 		}
 	}
 
-	timing, err := integrityTiming(o, workers)
+	timing, err := integrityTiming(o)
 	if err != nil {
 		return nil, err
 	}
@@ -221,55 +220,45 @@ func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) {
 
 // integrityTiming runs one timing cell per scheme: the same workload
 // under the same configuration, differing only in the scheme — so the
-// tree-write columns are directly comparable.
-func integrityTiming(o IntegrityOpts, workers int) ([]IntegrityTimingCell, error) {
+// tree-write columns are directly comparable, and the cells replay one
+// recording.
+func integrityTiming(o IntegrityOpts) ([]IntegrityTimingCell, error) {
 	schemes := IntegritySchemes()
-	cells := make([]IntegrityTimingCell, len(schemes))
-	err := par.ForEachIndex(workers, len(schemes), func(i int) error {
-		cfg := config.Default()
-		cfg.Scheme = schemes[i]
-		spec := Spec{
-			Base:           cfg,
+	cells := make([]Cell, len(schemes))
+	for i, s := range schemes {
+		cells[i] = Cell{Spec: Spec{
+			Base:           config.Default(),
 			Workload:       "array",
-			Scheme:         schemes[i],
+			Scheme:         s,
 			TxBytes:        1024,
 			Transactions:   o.Transactions,
 			Warmup:         8,
 			Cores:          1,
 			FootprintBytes: 1 << 20,
 			Seed:           1,
-		}
-		sources, err := BuildSources(spec)
-		if err != nil {
-			return err
-		}
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return err
-		}
-		m, err := sys.Run(sources)
-		if err != nil {
-			return err
-		}
-		cells[i] = IntegrityTimingCell{
+		}}
+	}
+	ms, err := NewRunner(o.Parallel).RunCells(cells)
+	if err != nil {
+		return nil, fmt.Errorf("integrity timing %w", err)
+	}
+	out := make([]IntegrityTimingCell, len(cells))
+	for i, m := range ms {
+		out[i] = IntegrityTimingCell{
 			Scheme:        schemes[i].String(),
-			Workload:      spec.Workload,
+			Workload:      cells[i].Spec.Workload,
 			Cycles:        m.Cycles,
 			DataWrites:    m.DataWrites,
 			CounterWrites: m.CounterWrites,
 			TreeWrites:    m.TreeNodeWrites,
 			TreeCoalesced: m.TreeCoalescedWrites,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return cells, nil
+	return out, nil
 }
 
-// StrictViolations returns the detection-property violations the CI
-// gate fails on: any Silent outcome, any integrity mode whose fired
+// StrictViolations returns the detection-property violations -strict
+// fails on: any Silent outcome, any integrity mode whose fired
 // replays were never tree-flagged, or tree traffic missing from a
 // tree scheme's timing cell. Empty means the tentpole claim held.
 func (r *IntegrityResult) StrictViolations() []string {

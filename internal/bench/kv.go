@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"supermem/internal/config"
@@ -111,6 +113,43 @@ type KVResult struct {
 	Cells    []KVCell `json:"cells"`
 }
 
+// kvExperiment is the registry entry with its -kv-* flags.
+func kvExperiment() Experiment {
+	uncore := true
+	ko := KVOpts{UncoreVariants: &uncore}
+	return Experiment{
+		Name: "kv",
+		Flags: func(fs *flag.FlagSet) {
+			fs.Func("kv-shards", "comma-separated shard counts for -exp kv (default 1,2,4,8)", listFlag(&ko.Shards, atLeast(1)))
+			fs.IntVar(&ko.Keys, "kv-keys", 0, "per-shard keyspace for -exp kv (default 4096)")
+			fs.IntVar(&ko.Requests, "kv-requests", 0, "measured requests per shard for -exp kv (default -transactions)")
+			fs.Func("kv-skew", "comma-separated Zipfian thetas in [0,1) for -exp kv (default 0,0.99)", listFlag(&ko.Thetas, func(s string) (float64, error) {
+				t, err := strconv.ParseFloat(s, 64)
+				if err == nil && (t < 0 || t >= 1) {
+					err = fmt.Errorf("want a theta in [0,1)")
+				}
+				return t, err
+			}))
+			fs.Func("kv-mix", "read,update,insert,delete,scan percentages for -exp kv (default 95,5,0,0,0)", func(s string) error {
+				var mix []int
+				if err := listFlag(&mix, atLeast(0))(s); err != nil {
+					return err
+				}
+				if len(mix) != len(ko.Mix) {
+					return fmt.Errorf("want %d comma-separated percentages (read,update,insert,delete,scan)", len(ko.Mix))
+				}
+				copy(ko.Mix[:], mix)
+				return nil
+			})
+			fs.IntVar(&ko.TxBytes, "kv-tx", 0, "transaction/value sizing in bytes for -exp kv (default 256)")
+			fs.IntVar(&ko.ScanLen, "kv-scan", 0, "keys per scan request for -exp kv (default 16)")
+			fs.BoolVar(&uncore, "kv-uncore", true, "include the shared-vs-partitioned counter-cache and per-core write-queue cells in -exp kv")
+			fs.StringVar(&ko.CoreModel, "kv-core", "", "core timing model of the KV shard cores for -exp kv (inorder or ooo; default: -core)")
+		},
+		Run: func(cfg config.Config, o Opts) (Result, error) { return KVServe(cfg, o, ko) },
+	}
+}
+
 // KVServe runs the sharded KV-serving grid: shards x scheme x skew, with
 // per-shard request streams served on a multi-core system (one bank per
 // shard), p99 request latency as the headline metric, and — at the
@@ -173,18 +212,11 @@ func KVServe(base config.Config, o Opts, ko KVOpts) (*KVResult, error) {
 		}, Row: i}
 	}
 
-	// The experiment needs the per-shard histograms, so it always runs
-	// with its own histogram collector (Opts.Obs is not consulted).
-	col := &ObsCollector{Hist: true}
-	r := NewRunner(o.Parallel)
-	r.Obs = col
-	ms, err := r.RunCells(cells)
+	// The experiment needs the per-shard histograms, so it always
+	// observes its cells (Opts.Obs is not consulted).
+	ms, recs, err := NewRunner(o.Parallel).RunObserved(cells)
 	if err != nil {
 		return nil, fmt.Errorf("kv: %w", err)
-	}
-	obsCells := col.Cells()
-	if len(obsCells) != len(cells) {
-		return nil, fmt.Errorf("kv: %d observed cells for %d specs", len(obsCells), len(cells))
 	}
 
 	res := &KVResult{
@@ -195,7 +227,7 @@ func KVServe(base config.Config, o Opts, ko KVOpts) (*KVResult, error) {
 	}
 	for i, pt := range points {
 		m := ms[i]
-		rec := obsCells[i].Rec
+		rec := recs[i]
 		// Merge the per-shard histograms into the cross-shard
 		// distribution; the merge is exact and order-independent, so the
 		// quantiles match observing all shards into one histogram.
@@ -231,6 +263,9 @@ func KVServe(base config.Config, o Opts, ko KVOpts) (*KVResult, error) {
 	}
 	return res, nil
 }
+
+// StrictViolations is empty: the KV grid is reported, not gated.
+func (*KVResult) StrictViolations() []string { return nil }
 
 func mixString(mix [5]int) string {
 	if mix == [5]int{} {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 
@@ -128,6 +129,22 @@ type MLPResult struct {
 	Cells        []MLPCell `json:"cells"`
 }
 
+// mlpExperiment is the registry entry with its -mlp-* flags.
+func mlpExperiment() Experiment {
+	var mo MLPOpts
+	return Experiment{
+		Name: "mlp",
+		Flags: func(fs *flag.FlagSet) {
+			fs.Func("mlp-widths", "comma-separated OoO widths for -exp mlp (default 1,2,4,8)", listFlag(&mo.Widths, atLeast(1)))
+			fs.Func("mlp-mshrs", "comma-separated MSHR-file sizes swept at the widest width for -exp mlp (default 2,32)", listFlag(&mo.MSHRs, atLeast(1)))
+			fs.Func("mlp-prefetch", "comma-separated prefetch degrees swept at the widest width for -exp mlp (default 4)", listFlag(&mo.PrefetchDegrees, atLeast(0)))
+			fs.StringVar(&mo.Workload, "mlp-workload", "", "workload for -exp mlp (default btree)")
+			fs.IntVar(&mo.TxBytes, "mlp-tx", 0, "transaction size in bytes for -exp mlp (default 1024)")
+		},
+		Run: func(cfg config.Config, o Opts) (Result, error) { return MLP(cfg, o, mo) },
+	}
+}
+
 // MLP runs the memory-level-parallelism grid: core variants (in-order,
 // OoO width sweep, MSHR sweep, prefetch on) crossed with schemes, with
 // Unsec run per variant as the amplification baseline. Every cell of a
@@ -170,18 +187,11 @@ func MLP(base config.Config, o Opts, mo MLPOpts) (*MLPResult, error) {
 		}
 	}
 
-	// The experiment needs the tx-latency histograms, so it always runs
-	// with its own histogram collector (Opts.Obs is not consulted).
-	col := &ObsCollector{Hist: true}
-	r := NewRunner(o.Parallel)
-	r.Obs = col
-	ms, err := r.RunCells(cells)
+	// The experiment needs the tx-latency histograms, so it always
+	// observes its cells (Opts.Obs is not consulted).
+	ms, recs, err := NewRunner(o.Parallel).RunObserved(cells)
 	if err != nil {
 		return nil, fmt.Errorf("mlp: %w", err)
-	}
-	obsCells := col.Cells()
-	if len(obsCells) != len(cells) {
-		return nil, fmt.Errorf("mlp: %d observed cells for %d specs", len(obsCells), len(cells))
 	}
 
 	res := &MLPResult{Workload: mo.Workload, TxBytes: mo.TxBytes, Transactions: o.Transactions}
@@ -190,7 +200,7 @@ func MLP(base config.Config, o Opts, mo MLPOpts) (*MLPResult, error) {
 		var unsecWrites uint64
 		for _, sch := range schemes {
 			m := ms[i]
-			h := obsCells[i].Rec.CoreTxHist(0)
+			h := recs[i].CoreTxHist(0)
 			i++
 			if sch == config.Unsec {
 				unsecWrites = m.TotalNVMWrites()
@@ -227,6 +237,9 @@ func MLP(base config.Config, o Opts, mo MLPOpts) (*MLPResult, error) {
 	}
 	return res, nil
 }
+
+// StrictViolations is empty: the MLP grid is reported, not gated.
+func (*MLPResult) StrictViolations() []string { return nil }
 
 // variantLabel renders one core variant compactly for the table.
 func variantLabel(model string, width, mshrs, degree int) string {

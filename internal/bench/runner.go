@@ -64,11 +64,6 @@ func (r *Runner) CacheStats() (hits, misses int64) { return r.cache.Stats() }
 // table assembled from it) is independent of scheduling. On failure the
 // lowest-index error is returned, so errors are deterministic too.
 func (r *Runner) RunCells(cells []Cell) ([]stats.Metrics, error) {
-	specs := make([]Spec, len(cells))
-	for i, c := range cells {
-		specs[i] = c.Spec
-	}
-	r.cache.Plan(specs)
 	var recs []*obs.Recorder
 	if r.Obs != nil {
 		recs = make([]*obs.Recorder, len(cells))
@@ -76,6 +71,36 @@ func (r *Runner) RunCells(cells []Cell) ([]stats.Metrics, error) {
 			recs[i] = r.Obs.newRecorder(c.Spec)
 		}
 	}
+	out, err := r.run(cells, recs)
+	if err != nil {
+		return nil, err
+	}
+	if r.Obs != nil {
+		r.Obs.collect(cells, recs)
+	}
+	return out, nil
+}
+
+// RunObserved is RunCells with a histogram recorder on every cell,
+// returned in cell order, for experiments that read their quantiles
+// from the recorders. It ignores r.Obs.
+func (r *Runner) RunObserved(cells []Cell) ([]stats.Metrics, []*obs.Recorder, error) {
+	recs := make([]*obs.Recorder, len(cells))
+	for i := range recs {
+		recs[i] = obs.NewRecorder(obs.Options{})
+	}
+	out, err := r.run(cells, recs)
+	return out, recs, err
+}
+
+// run executes the cells, attaching recs[i] (if recs is non-nil) to
+// cell i.
+func (r *Runner) run(cells []Cell, recs []*obs.Recorder) ([]stats.Metrics, error) {
+	specs := make([]Spec, len(cells))
+	for i, c := range cells {
+		specs[i] = c.Spec
+	}
+	r.cache.Plan(specs)
 	out := make([]stats.Metrics, len(cells))
 	var done atomic.Int64
 	err := par.ForEachIndex(r.workers(), len(cells), func(i int) error {
@@ -95,9 +120,6 @@ func (r *Runner) RunCells(cells []Cell) ([]stats.Metrics, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if r.Obs != nil {
-		r.Obs.collect(cells, recs)
 	}
 	return out, nil
 }

@@ -75,8 +75,8 @@ type FuzzParams struct {
 	// included when sampled.
 	MaxNested int
 	// Parallel is the worker count (<= 0 means GOMAXPROCS). Results
-	// are identical at any setting.
-	Parallel int
+	// are identical at any setting, so it is left out of their JSON.
+	Parallel int `json:"-"`
 	// Modes overrides the machine designs swept (default AllModes).
 	Modes []machine.Mode
 }

@@ -323,107 +323,6 @@ func Figure17(cfg Config, o ExperimentOpts) (hitRate, execTime *Table, err error
 // designs, by sweeping every crash point on the byte-accurate machine.
 func Table1() (*bench.Table1Result, error) { return bench.Table1() }
 
-// Table1Parallel is Table1 with an explicit worker count for the
-// crash-point sweep (<= 0 means GOMAXPROCS).
-func Table1Parallel(parallel int) (*bench.Table1Result, error) {
-	return bench.Table1Parallel(parallel)
-}
-
-// TraceCacheStats reports the cumulative experiment trace-cache hits
-// and misses in this process: each miss generated a workload's op
-// streams, each hit replayed a recording instead of regenerating it.
-func TraceCacheStats() (hits, misses int64) { return bench.CacheStats() }
-
-// AblationPlacement runs the counter-placement ablation (SingleBank /
-// SameBank / XBank, with and without CWC) on the write-through design.
-func AblationPlacement(cfg Config, o ExperimentOpts) (*Table, error) {
-	return bench.AblationPlacement(cfg, o.internal())
-}
-
-// AblationTxSizeCoalescing reports the fraction of counter writes CWC
-// coalesces as the transaction size grows.
-func AblationTxSizeCoalescing(cfg Config, o ExperimentOpts) (*Table, error) {
-	return bench.AblationTxSizeCoalescing(cfg, o.internal())
-}
-
-// ExtensionSCA compares the SCA-style selective-counter-atomicity
-// baseline against the paper's schemes.
-func ExtensionSCA(cfg Config, o ExperimentOpts) (*Table, error) {
-	return bench.ExtensionSCA(cfg, o.internal())
-}
-
-// ExtensionOsiris compares the Osiris relaxed-counter-persistence
-// baseline against the paper's schemes: transaction latency and the
-// counter writes reaching the memory-controller queue (the traffic the
-// stop-loss interval defers, paid back as recovery probes after a
-// crash).
-func ExtensionOsiris(cfg Config, o ExperimentOpts) (latency, writes *Table, err error) {
-	return bench.ExtensionOsiris(cfg, o.internal())
-}
-
-type (
-	// KVOpts sizes the KV-serving experiment grid (shards, schemes,
-	// Zipfian skews, keyspace, request mix).
-	KVOpts = bench.KVOpts
-	// KVResult is the KV-serving experiment's deterministic artifact
-	// payload (the BENCH_kv.json body).
-	KVResult = bench.KVResult
-	// KVCell is one (theta, shards, scheme) grid point with cross-shard
-	// request-latency quantiles.
-	KVCell = bench.KVCell
-)
-
-// KVServe runs the sharded KV-serving experiment: per-shard YCSB-style
-// Zipfian request streams over a hash-sharded persistent KV store,
-// served on a multi-core system, with p99 request latency as the
-// headline metric and shared-vs-partitioned counter-cache /
-// per-core-write-queue variants at the largest shard count. The result
-// is byte-identical at any Parallel setting.
-func KVServe(cfg Config, o ExperimentOpts, ko KVOpts) (*KVResult, error) {
-	return bench.KVServe(cfg, o.internal(), ko)
-}
-
-type (
-	// AttackOpts sizes the attack experiment grid (schemes, steps,
-	// mitigation knobs, crash-loop length).
-	AttackOpts = bench.AttackOpts
-	// AttackResult is the attack experiment's deterministic artifact
-	// payload (the BENCH_attack.json body).
-	AttackResult = bench.AttackResult
-)
-
-// AttackSweep runs the persistence-based attack experiment: the
-// minor-counter overflow hammer, the hot-bank write DoS, and the
-// malicious crash loop, each against each scheme with its mitigation
-// (overflow throttle, wear-leveling rotation, recovery-work bound) off
-// and on. The result reports write amplification, victim tail latency,
-// and per-recovery work, and is byte-identical at any Parallel setting.
-func AttackSweep(cfg Config, o ExperimentOpts, ao AttackOpts) (*AttackResult, error) {
-	return bench.AttackSweep(cfg, o.internal(), ao)
-}
-
-type (
-	// MLPOpts sizes the memory-level-parallelism experiment grid
-	// (schemes, OoO widths, MSHR sizes, prefetch degrees).
-	MLPOpts = bench.MLPOpts
-	// MLPResult is the MLP experiment's deterministic artifact payload
-	// (the BENCH_mlp.json body).
-	MLPResult = bench.MLPResult
-	// MLPCell is one (core variant, scheme) grid point with latency
-	// quantiles, write amplification, and MSHR/prefetcher counters.
-	MLPCell = bench.MLPCell
-)
-
-// MLP runs the memory-level-parallelism experiment: core variants
-// (in-order baseline, an OoO issue-width sweep, and MSHR/prefetch
-// sweeps at the widest width) crossed with schemes, with Unsec run per
-// variant as the write-amplification baseline. The whole grid replays
-// one cached recording — the core model is timing-only — and the
-// result is byte-identical at any Parallel setting.
-func MLP(cfg Config, o ExperimentOpts, mo MLPOpts) (*MLPResult, error) {
-	return bench.MLP(cfg, o.internal(), mo)
-}
-
 // CrashMode selects the persistence design of the byte-accurate crash
 // machine (richer than Scheme: it distinguishes battery variants and
 // the register ablation).
@@ -529,15 +428,6 @@ type (
 	// FaultOutcome classifies a fault x crash experiment (Clean /
 	// Recovered / Detected / Silent / BaselineCorrupt).
 	FaultOutcome = crash.FaultOutcome
-	// FaultSweepOpts sizes the faultsweep experiment.
-	FaultSweepOpts = bench.FaultSweepOpts
-	// FaultSweepResult is the faultsweep experiment's report.
-	FaultSweepResult = bench.FaultSweepResult
-	// IntegrityOpts sizes the integrity experiment.
-	IntegrityOpts = bench.IntegrityOpts
-	// IntegrityResult is the integrity experiment's report: the
-	// counter-attack detection grid plus the tree-write timing cells.
-	IntegrityResult = bench.IntegrityResult
 )
 
 // ECC profiles, strongest detection last.
@@ -571,18 +461,3 @@ func DecodeFaultPlan(data []byte) (FaultPlan, error) { return fault.DecodePlan(d
 func RunFault(mode CrashMode, workloadName string, steps int, plan FaultPlan, ecc ECCConfig, crashAt, recoveryCrashAt int) (FaultResult, error) {
 	return crash.RunFault(crash.Params{Mode: mode, Workload: workloadName, Steps: steps}, plan, ecc, crashAt, recoveryCrashAt)
 }
-
-// FaultSweep runs the faultsweep experiment: generated fault plans
-// against every crash-machine mode under each ECC profile and through
-// crash points, plus a timing cell where a dead bank is retried,
-// quarantined, and remapped. Results are byte-identical at any
-// Parallel setting.
-func FaultSweep(o FaultSweepOpts) (*FaultSweepResult, error) { return bench.FaultSweep(o) }
-
-// IntegritySweep runs the integrity experiment: a counter rollback +
-// corruption plan against the integrity-tree modes (and the treeless
-// baseline) across crash points with nested recovery crashes, plus
-// timing cells measuring tree-node write amplification and coalescing
-// per persistence level. Results are byte-identical at any Parallel
-// setting.
-func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) { return bench.IntegritySweep(o) }
