@@ -1,0 +1,34 @@
+//go:build !race
+
+// The golden run takes seconds, but about a minute under the race
+// detector, so race builds leave it out; the loop it drives is raced
+// by TestRunLoop.
+
+package main
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"supermem/internal/bench"
+	"supermem/internal/golden"
+)
+
+// goldenArgs are the arguments testdata/golden was written with.
+var goldenArgs = []string{"-exp", "all", "-transactions", "5", "-footprint", "65536", "-json"}
+
+// TestGoldenArtifacts is the same-results check: every experiment's
+// BENCH_<name>.json at a small scale must match its checked-in copy
+// byte for byte.
+func TestGoldenArtifacts(t *testing.T) {
+	dir, err := filepath.Abs(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(t.TempDir())
+	if code := run(bench.Experiments(), goldenArgs); code != 0 {
+		t.Fatalf("exit code %d, want 0", code)
+	}
+	golden.Check(t, dir, ".", "cd cmd/supermem-bench/testdata/golden && rm BENCH_*.json && go run ../.. "+strings.Join(goldenArgs, " "))
+}

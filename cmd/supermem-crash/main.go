@@ -31,6 +31,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -51,21 +52,32 @@ type artifact struct {
 	Text       string                      `json:"text,omitempty"`
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run parses args, fuzzes every selected workload, and returns the
+// process exit code: 2 for a bad flag, 1 for a failed run, a Table 1
+// mismatch or an unwritable artifact, 0 otherwise.
+func run(args []string) int {
+	fs := flag.NewFlagSet("supermem-crash", flag.ContinueOnError)
 	var (
-		wl        = flag.String("workload", "", "workload (default: all): array, queue, btree, hashtable, rbtree")
-		steps     = flag.Int("steps", 8, "transactions per run")
-		seed      = flag.Int64("seed", 1, "workload and sampling seed (results are deterministic per seed)")
-		maxPoints = flag.Int("maxpoints", 0, "cap on crash points per mode (0 = exhaustive; sampling is stage-weighted)")
-		nested    = flag.Bool("nested", false, "also inject crashes at every persistence step of the recovery path")
-		parallel  = flag.Int("parallel", runtime.NumCPU(), "worker count (output is identical at any value)")
-		jsonOut   = flag.Bool("json", false, "write a BENCH_crash.json artifact with the full differential matrix")
-		events    = flag.String("events", "", "write a Chrome trace_event JSON of a crash-free reference run per workload")
-		eventsMax = flag.Int("events-max", 1<<20, "trace event buffer cap per workload")
-		hist      = flag.Bool("hist", false, "print the persist-steps-per-transaction histogram of a reference run per workload")
-		obsWindow = flag.Uint64("obs-window", 0, "observability series window in persist steps (0 = default 4096)")
+		wl        = fs.String("workload", "", "workload (default: all): array, queue, btree, hashtable, rbtree")
+		steps     = fs.Int("steps", 8, "transactions per run")
+		seed      = fs.Int64("seed", 1, "workload and sampling seed (results are deterministic per seed)")
+		maxPoints = fs.Int("maxpoints", 0, "cap on crash points per mode (0 = exhaustive; sampling is stage-weighted)")
+		nested    = fs.Bool("nested", false, "also inject crashes at every persistence step of the recovery path")
+		parallel  = fs.Int("parallel", runtime.NumCPU(), "worker count (output is identical at any value)")
+		jsonOut   = fs.Bool("json", false, "write a BENCH_crash.json artifact with the full differential matrix")
+		events    = fs.String("events", "", "write a Chrome trace_event JSON of a crash-free reference run per workload")
+		eventsMax = fs.Int("events-max", 1<<20, "trace event buffer cap per workload")
+		hist      = fs.Bool("hist", false, "print the persist-steps-per-transaction histogram of a reference run per workload")
+		obsWindow = fs.Uint64("obs-window", 0, "observability series window in persist steps (0 = default 4096)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	workloads := supermem.Workloads()
 	if *wl != "" {
@@ -73,7 +85,10 @@ func main() {
 	}
 
 	if *events != "" || *hist {
-		observeReferenceRuns(workloads, *steps, *events, *eventsMax, *hist, *obsWindow)
+		if err := observeReferenceRuns(workloads, *steps, *events, *eventsMax, *hist, *obsWindow); err != nil {
+			fmt.Fprintf(os.Stderr, "supermem-crash: %v\n", err)
+			return 1
+		}
 	}
 
 	start := time.Now()
@@ -91,7 +106,7 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "supermem-crash: %s: %v\n", w, err)
-			os.Exit(1)
+			return 1
 		}
 		results = append(results, res)
 		text += res.String()
@@ -104,22 +119,26 @@ func main() {
 	fmt.Printf("[differential fuzz done in %s]\n", time.Since(start).Round(time.Millisecond))
 
 	if *jsonOut {
-		writeArtifact(artifact{
+		err := writeArtifact(artifact{
 			Experiment: "crash",
 			Seed:       *seed,
 			Nested:     *nested,
 			Matrix:     results,
 			Text:       text,
 		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "supermem-crash: %v\n", err)
+			return 1
+		}
 	}
-	os.Exit(exitCode)
+	return exitCode
 }
 
 // observeReferenceRuns executes one crash-free reference run per
 // workload on the SuperMem machine with a recorder attached, printing
 // histograms and/or writing all workloads' trace sections to one
 // trace_event file (one process per workload).
-func observeReferenceRuns(workloads []string, steps int, events string, eventsMax int, hist bool, window uint64) {
+func observeReferenceRuns(workloads []string, steps int, events string, eventsMax int, hist bool, window uint64) error {
 	var sections []supermem.TraceSection
 	for _, w := range workloads {
 		rec := supermem.NewObsRecorder(supermem.ObsOptions{
@@ -129,8 +148,7 @@ func observeReferenceRuns(workloads []string, steps int, events string, eventsMa
 		})
 		counts, err := supermem.CrashReferenceRun(supermem.CrashSuperMem, w, steps, rec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "supermem-crash: %s reference run: %v\n", w, err)
-			os.Exit(1)
+			return fmt.Errorf("%s reference run: %w", w, err)
 		}
 		if hist {
 			fmt.Printf("%s: %d transactions, persist steps per transaction:\n%s", w, len(counts), rec.Snapshot())
@@ -144,36 +162,32 @@ func observeReferenceRuns(workloads []string, steps int, events string, eventsMa
 		}
 	}
 	if events == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(events)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "supermem-crash: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	werr := supermem.WriteTrace(f, sections...)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
-		fmt.Fprintf(os.Stderr, "supermem-crash: writing %s: %v\n", events, werr)
-		os.Exit(1)
+		return fmt.Errorf("writing %s: %w", events, werr)
 	}
 	fmt.Printf("[wrote %s; open at ui.perfetto.dev]\n", events)
+	return nil
 }
 
-func writeArtifact(a artifact) {
-	f, err := os.Create("BENCH_crash.json")
+// writeArtifact saves a as BENCH_crash.json in the working directory.
+func writeArtifact(a artifact) error {
+	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "supermem-crash: %v\n", err)
-		return
+		return fmt.Errorf("encoding BENCH_crash.json: %w", err)
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(a); err != nil {
-		fmt.Fprintf(os.Stderr, "supermem-crash: %v\n", err)
-		return
+	if err := os.WriteFile("BENCH_crash.json", append(data, '\n'), 0o644); err != nil {
+		return err
 	}
 	fmt.Println("[wrote BENCH_crash.json]")
+	return nil
 }
