@@ -42,12 +42,6 @@ func (m *InOrder) start() { m.s.eng.AtObj(0, &m.ev) }
 // dispatch the next op.
 func (m *InOrder) opDone(now uint64) { m.s.eng.AtObj(now, &m.ev) }
 
-// reset implements Model: drop warmup-phase stalls.
-func (m *InOrder) reset(uint64) {
-	m.c.m.WQStallCycles = 0
-	m.c.m.ReadStallCycles = 0
-}
-
 // step executes the core's next operation.
 func (m *InOrder) step(now uint64) {
 	s, c := m.s, m.c
@@ -71,8 +65,7 @@ func (m *InOrder) step(now uint64) {
 		s.noteTxEnd(c, now)
 		s.eng.AtObj(now, &m.ev)
 	case trace.Reset:
-		m.reset(now)
-		s.noteReset(now)
+		s.noteReset(c)
 		s.eng.AtObj(now, &m.ev)
 	case trace.Read:
 		m.gb.reset()

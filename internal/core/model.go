@@ -27,9 +27,8 @@ import (
 //     a slot completion).
 //   - opDone is the opJob continuation: the last write group of an op
 //     was accepted into the ADR domain at cycle now.
-//   - reset zeroes the model's warmup-phase stall counters when the
-//     core executes a trace.Reset op (the System handles the global
-//     snapshot separately).
+//   - a trace.Reset op goes to System.noteReset, which zeroes the
+//     core's metrics block; a model keeps no warmup state of its own.
 //
 // Latency charge points are part of the contract and must be explicit
 // per model: reads charge the core at completion (readyAt), flush-side
@@ -41,7 +40,6 @@ type Model interface {
 	stepper
 	opDoner
 	start()
-	reset(now uint64)
 }
 
 // modelBuilder constructs a model for one core. The builder wires the

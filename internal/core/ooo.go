@@ -104,19 +104,6 @@ func (m *OoO) opDone(uint64) {
 	panic("core: OoO.opDone called directly; op completions go through their slot")
 }
 
-// reset implements Model: drop warmup-phase stalls and miss-path stats.
-func (m *OoO) reset(uint64) {
-	cm := &m.c.m
-	cm.WQStallCycles = 0
-	cm.ReadStallCycles = 0
-	cm.MSHRMerges = 0
-	cm.MSHRFullStalls = 0
-	cm.MSHRStallCycles = 0
-	cm.PrefetchIssued = 0
-	cm.PrefetchUseful = 0
-	cm.PrefetchDropped = 0
-}
-
 // step implements stepper for the dispatch-loop event.
 func (m *OoO) step(now uint64) { m.dispatch(now) }
 
@@ -201,8 +188,7 @@ func (m *OoO) execSerial(op trace.Op, now uint64) {
 		s.noteTxEnd(c, now)
 		s.eng.AtObj(now, &m.ev)
 	case trace.Reset:
-		m.reset(now)
-		s.noteReset(now)
+		s.noteReset(c)
 		s.eng.AtObj(now, &m.ev)
 	}
 }

@@ -84,14 +84,12 @@ type System struct {
 	throttleBurst  int
 	bucket         tokenBucket
 
-	// Warmup exclusion: when every core has executed a trace.Reset op,
-	// the global counters are snapshotted and subtracted from the final
-	// metrics, so setup/warmup traffic does not pollute the figures.
-	resetsSeen   int
-	snapshot     stats.Metrics
-	ctrSnapshot  cache.Stats
-	snapshotAt   uint64
-	haveSnapshot bool
+	// Warmup exclusion: each core's trace.Reset zeroes its own metrics
+	// block, and when every core has reset, the shared block is
+	// snapshotted into warm and subtracted from the final metrics, so
+	// setup/warmup traffic does not pollute the figures.
+	resetsSeen int
+	warm       stats.Metrics
 
 	// runErr records an internal-invariant failure surfaced by a
 	// component during the event loop (there is no error path out of an
@@ -302,33 +300,10 @@ func (s *System) Run(sources []trace.Source) (stats.Metrics, error) {
 		}
 	}
 	s.rec.Finish(s.eng.Now())
-	m := s.m
+	m := s.shared()
+	m.Sub(s.warm)
 	for _, c := range s.cores {
 		m.Add(c.m)
-	}
-	m.Cycles = s.eng.Now()
-	cs := s.ctrStats()
-	m.CtrCacheHits = cs.Hits
-	m.CtrCacheMisses = cs.Misses
-	m.CtrEvictions = cs.Writebacks
-	if s.haveSnapshot {
-		m.DataWrites -= s.snapshot.DataWrites
-		m.CounterWrites -= s.snapshot.CounterWrites
-		m.CoalescedWrites -= s.snapshot.CoalescedWrites
-		m.DeferredCtrWrites -= s.snapshot.DeferredCtrWrites
-		m.TreeNodeWrites -= s.snapshot.TreeNodeWrites
-		m.TreeCoalescedWrites -= s.snapshot.TreeCoalescedWrites
-		m.NVMReads -= s.snapshot.NVMReads
-		m.Reencryptions -= s.snapshot.Reencryptions
-		m.ReencryptLines -= s.snapshot.ReencryptLines
-		m.ThrottleStalls -= s.snapshot.ThrottleStalls
-		m.ThrottleStallCycles -= s.snapshot.ThrottleStallCycles
-		m.WearRotations -= s.snapshot.WearRotations
-		m.WearRemappedWrites -= s.snapshot.WearRemappedWrites
-		m.CtrCacheHits -= s.ctrSnapshot.Hits
-		m.CtrCacheMisses -= s.ctrSnapshot.Misses
-		m.CtrEvictions -= s.ctrSnapshot.Writebacks
-		m.Cycles -= s.snapshotAt
 	}
 	return m, nil
 }
@@ -343,18 +318,19 @@ func (s *System) drained() bool {
 	return true
 }
 
-// ctrStats sums the counter-cache statistics over the shared cache or
-// the per-core partitions.
-func (s *System) ctrStats() cache.Stats {
-	var t cache.Stats
+// shared returns the machine-wide metrics block: the controller and
+// system counters, the counter-cache statistics (summed over the shared
+// cache or the per-core partitions), and the clock.
+func (s *System) shared() stats.Metrics {
+	m := s.m
 	for _, cc := range s.ctrCaches {
 		cs := cc.Stats()
-		t.Hits += cs.Hits
-		t.Misses += cs.Misses
-		t.Evictions += cs.Evictions
-		t.Writebacks += cs.Writebacks
+		m.CtrCacheHits += cs.Hits
+		m.CtrCacheMisses += cs.Misses
+		m.CtrEvictions += cs.Writebacks
 	}
-	return t
+	m.Cycles = s.eng.Now()
+	return m
 }
 
 // noteTxEnd records a completed transaction's latency for core c (the
@@ -370,16 +346,15 @@ func (s *System) noteTxEnd(c *coreState, now uint64) {
 	c.inTx = false
 }
 
-// noteReset records one core's trace.Reset; when every core has reset,
-// the global counters are snapshotted for warmup subtraction. The
-// model zeroes its own per-core stall counters before calling this.
-func (s *System) noteReset(now uint64) {
+// noteReset records core c's trace.Reset (the models call it from their
+// trace.Reset handling): the core's own metrics block restarts from
+// zero, and when every core has reset, the shared block is snapshotted
+// for warmup subtraction.
+func (s *System) noteReset(c *coreState) {
+	c.m = stats.Metrics{}
 	s.resetsSeen++
 	if s.resetsSeen == len(s.cores) {
-		s.snapshot = s.m
-		s.ctrSnapshot = s.ctrStats()
-		s.snapshotAt = now
-		s.haveSnapshot = true
+		s.warm = s.shared()
 		// Histograms report measured transactions only, mirroring
 		// the metric snapshot subtraction; series and trace events
 		// keep the full timeline.

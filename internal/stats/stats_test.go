@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -37,6 +38,60 @@ func TestMetricsAdd(t *testing.T) {
 	}
 	if a.Transactions != 5 || a.DataWrites != 11 || a.WQStallCycles != 8 {
 		t.Errorf("Add did not sum counters: %+v", a)
+	}
+}
+
+// TestMetricsRulesFailClosed holds every Metrics field to the merge
+// declaration: it must be a uint64 with a known stat tag, and Add and
+// Sub must treat it exactly as that tag says. A field added without a
+// rule, or a rule Add or Sub ignores, fails here.
+func TestMetricsRulesFailClosed(t *testing.T) {
+	tt := reflect.TypeOf(Metrics{})
+	var a, b Metrics
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < tt.NumField(); i++ {
+		f := tt.Field(i)
+		if f.Type.Kind() != reflect.Uint64 {
+			t.Errorf("Metrics.%s is %v, want uint64", f.Name, f.Type)
+			continue
+		}
+		switch tag := f.Tag.Get("stat"); tag {
+		case "", "max", "whole-run":
+		default:
+			t.Errorf("Metrics.%s has unknown tag stat:%q", f.Name, tag)
+		}
+		// Distinct per-field values, a's above b's.
+		av.Field(i).SetUint(uint64(1000 + 7*i))
+		bv.Field(i).SetUint(uint64(10 + 3*i))
+	}
+	if t.Failed() {
+		return
+	}
+
+	sum, sumRev, diff := a, b, a
+	sum.Add(b)
+	sumRev.Add(a)
+	diff.Sub(b)
+	sv, rv, dv := reflect.ValueOf(sum), reflect.ValueOf(sumRev), reflect.ValueOf(diff)
+	for i := 0; i < tt.NumField(); i++ {
+		f := tt.Field(i)
+		x, y := av.Field(i).Uint(), bv.Field(i).Uint()
+		wantAdd, wantSub := x+y, x-y
+		switch f.Tag.Get("stat") {
+		case "max":
+			wantAdd = x
+		case "whole-run":
+			wantSub = x
+		}
+		if got := sv.Field(i).Uint(); got != wantAdd {
+			t.Errorf("Add: %s = %d, want %d", f.Name, got, wantAdd)
+		}
+		if got := rv.Field(i).Uint(); got != wantAdd {
+			t.Errorf("Add (reversed): %s = %d, want %d", f.Name, got, wantAdd)
+		}
+		if got := dv.Field(i).Uint(); got != wantSub {
+			t.Errorf("Sub: %s = %d, want %d", f.Name, got, wantSub)
+		}
 	}
 }
 
