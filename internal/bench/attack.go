@@ -37,7 +37,8 @@ import (
 //     timeline for the crash point maximizing recovery work and crash
 //     there repeatedly. Headline: worst recovery persists versus the
 //     same scan over a benign workload. Mitigation: the recovery-work
-//     bound (config.RecoveryWorkBound) degrading to staged recovery.
+//     bound (AttackOpts.RecoveryBound, passed on as
+//     crash.Params.RecoveryBound) degrading to staged recovery.
 //
 // Everything is deterministic: cells are a pure function of the
 // options, grid scans land in pre-sized slices by index, and

@@ -79,9 +79,6 @@ func (c *Cache) SetObserver(fn func(hit bool)) { c.observer = fn }
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the statistics without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 	line := addr >> c.setShift
 	return line & c.setMask, line >> uint(bits.TrailingZeros64(c.setMask+1))

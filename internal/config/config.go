@@ -240,15 +240,6 @@ type Config struct {
 	// disables rotation.
 	WearRemapPeriod uint64
 
-	// RecoveryWorkBound caps the re-encryption/tree-completion persist
-	// steps one recovery pass may perform in the functional machine.
-	// When the bound is hit, recovery degrades to staged mode: the pass
-	// returns with work pending and the next pass continues where it
-	// stopped, so a malicious crash-loop pays bounded work per recovery
-	// instead of stalling on an adversarially large backlog. 0 means
-	// unbounded (complete every recovery in one pass).
-	RecoveryWorkBound int
-
 	// CoreModel selects the per-core timing model ("" means
 	// CoreInOrder). internal/core resolves the name through its model
 	// registry, so experiments sweep the model as a grid axis the same
@@ -415,9 +406,6 @@ func (c Config) Validate() error {
 	}
 	if c.OverflowThrottlePeriod == 0 && c.OverflowThrottleBurst > 0 {
 		return fmt.Errorf("config: overflow throttle burst %d set with throttling disabled (period 0)", c.OverflowThrottleBurst)
-	}
-	if c.RecoveryWorkBound < 0 {
-		return fmt.Errorf("config: recovery work bound must be >= 0 (0 means unbounded), got %d", c.RecoveryWorkBound)
 	}
 	if !validCoreModel(c.CoreModel) {
 		return fmt.Errorf("config: unknown core model %q (want %q or %q)", c.CoreModel, CoreInOrder, CoreOoO)

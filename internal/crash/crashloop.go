@@ -10,7 +10,7 @@ import (
 // persistence step that maximizes recovery work — mid-RSR, so every
 // boot re-encrypts most of a page before the system is usable — and
 // repeats. The mitigation under test is the recovery-work bound
-// (config.RecoveryWorkBound / machine.WithRecoveryBound): a bounded
+// (Params.RecoveryBound / machine.WithRecoveryBound): a bounded
 // pass stops with the RSR still armed and ResumeRecovery continues in
 // stages, so no single recovery pass exceeds the budget.
 

@@ -121,7 +121,7 @@ type Machine struct {
 	// SetTreeVerify).
 	treeVerifyOff bool
 
-	// Recovery-work bound (config.RecoveryWorkBound): the maximum
+	// Recovery-work bound (WithRecoveryBound): the maximum
 	// persistence micro-steps one recovery pass may spend completing an
 	// interrupted page re-encryption. 0 is unbounded; when the budget
 	// runs out the pass stops with the RSR still armed (staged
@@ -171,8 +171,12 @@ func WithCrashAtPersist(n int) Option {
 }
 
 // WithRecoveryBound caps one recovery pass's re-encryption completion
-// work at n persistence micro-steps (0 = unbounded). See
-// config.RecoveryWorkBound.
+// work at n persistence micro-steps (0 = unbounded). When the bound is
+// hit, recovery degrades to staged mode: the pass returns with work
+// pending and the next pass continues where it stopped, so a malicious
+// crash loop pays bounded work per recovery instead of stalling on an
+// adversarially large backlog. The crash drivers pass
+// crash.Params.RecoveryBound here.
 func WithRecoveryBound(n int) Option {
 	return func(m *Machine) { m.recoveryBound = n }
 }
