@@ -102,12 +102,13 @@ const (
 	XBank = scheme.XBank
 )
 
-// Core timing-model names. internal/core maps them to Model
-// implementations through its registry; config only validates the
+// Core timing-model names. internal/core runs one model for both: an
+// in-order core is its one-op window. config only validates the
 // spelling so a bad knob fails at Validate time, not mid-run.
 const (
 	// CoreInOrder is the blocking one-op-at-a-time core of the paper's
-	// evaluation (the default).
+	// evaluation (the default): the OoO window at width 1, with
+	// DefaultMSHREntries entries and no prefetcher.
 	CoreInOrder = "inorder"
 	// CoreOoO is the out-of-order core: OoOWidth ops in flight, an
 	// MSHR file with same-line merge, and an optional stride prefetcher.
@@ -241,9 +242,8 @@ type Config struct {
 	WearRemapPeriod uint64
 
 	// CoreModel selects the per-core timing model ("" means
-	// CoreInOrder). internal/core resolves the name through its model
-	// registry, so experiments sweep the model as a grid axis the same
-	// way they sweep schemes.
+	// CoreInOrder). Experiments sweep it as a grid axis the same way
+	// they sweep schemes.
 	CoreModel string
 	// CoreModels overrides CoreModel per core (cores 0..3; an empty
 	// entry falls back to CoreModel). The attack experiments use it to

@@ -9,8 +9,8 @@ import (
 // the degree is a knob — config.PrefetchDegree).
 const prefetchConfidence = 2
 
-// prefetcher is the OoO core's degree/confidence stride prefetcher. On
-// a confident stride it issues up to degree non-binding prefetches down
+// prefetcher is a core's degree/confidence stride prefetcher. On a
+// confident stride it issues up to degree non-binding prefetches down
 // the stride: each prefetch reads the data line through the MSHR file
 // and the memory controller's banks (so it competes for real
 // bandwidth) and rides the matching counter line along — the
@@ -75,8 +75,7 @@ func (p *prefetcher) issue(t, line uint64) bool {
 		s.rec.Count(obs.SeriesPrefetchDropped, t, 1)
 		return false
 	}
-	mshr := c.mem.(*mshrFile)
-	if _, issued := mshr.tryPrefetch(t, line); !issued {
+	if _, issued := c.mem.tryPrefetch(t, line); !issued {
 		c.m.PrefetchDropped++
 		s.rec.Count(obs.SeriesPrefetchDropped, t, 1)
 		return false
@@ -89,7 +88,7 @@ func (p *prefetcher) issue(t, line uint64) bool {
 	if s.cfg.Scheme.Encrypted() {
 		ctrAddr := s.layout.CounterLineAddr(line, s.placement)
 		if !c.ctrCache.Contains(ctrAddr) {
-			mshr.tryPrefetch(t, ctrAddr)
+			c.mem.tryPrefetch(t, ctrAddr)
 		}
 	}
 	return true

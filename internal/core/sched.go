@@ -1,38 +1,14 @@
 package core
 
-// This file is the scheduling plumbing shared by every core.Model: the
-// pre-allocated step event, the write-group walker, and the group
-// buffer. Keeping these in one place holds the zero-alloc line for all
-// models — a core's per-op control flow reuses the same event objects
-// and scratch buffers for the whole run.
+// This file is the core's write-side scheduling plumbing: the
+// write-group walker and the group buffer. Every in-flight op reuses
+// its slot's walker and buffer for the whole run, which holds the
+// dispatch path to zero allocations.
 
 import (
 	"supermem/internal/memctrl"
 	"supermem/internal/obs"
 )
-
-// stepper is the model-side target of a stepEv: one dispatch action of
-// the core's timing model.
-type stepper interface {
-	step(now uint64)
-}
-
-// stepEv schedules one dispatch action of a core model (sim.EventObj).
-// In-order cores use one per core (the next-op step); OoO cores use one
-// for the dispatch loop and one per slot for op completions.
-type stepEv struct {
-	m stepper
-}
-
-// Fire implements sim.EventObj.
-func (e *stepEv) Fire(now uint64) { e.m.step(now) }
-
-// opDoner receives the completion of an op's write-group walk: the last
-// group was accepted into the ADR domain at cycle now. The in-order
-// model schedules its next step; the OoO model frees the op's slot.
-type opDoner interface {
-	opDone(now uint64)
-}
 
 // opJob walks one op's write groups through the controller
 // sequentially: it is both the event that starts the enqueues after the
@@ -41,7 +17,7 @@ type opDoner interface {
 type opJob struct {
 	s      *System
 	c      *coreState
-	done   opDoner
+	done   *oooSlot
 	at     uint64 // dispatch time of the current group
 	i      int
 	groups [][]memctrl.Entry
@@ -82,8 +58,7 @@ func (j *opJob) Accepted(now uint64) {
 // Entries are immutable once added and the buffers are reset only when
 // their owner starts its next op — after every group of the previous op
 // has been accepted (copied into the write queue) — so the controller
-// never observes a recycled buffer. The in-order model owns one per
-// core; the OoO model owns one per in-flight slot.
+// never observes a recycled buffer. Each in-flight slot owns one.
 type groupBuilder struct {
 	entries []memctrl.Entry
 	groups  [][]memctrl.Entry
@@ -107,20 +82,3 @@ func (g *groupBuilder) add2(a, b memctrl.Entry) {
 	g.entries = append(g.entries, a, b)
 	g.groups = append(g.groups, g.entries[n:n+2:n+2])
 }
-
-// memReader is the model's hook on the demand-fill read path: readPath
-// and counterForRead route their NVM line reads through it, so the OoO
-// model can interpose its MSHR file (same-line merge, occupancy
-// accounting) while the in-order model reads the controller directly.
-// The persist paths keep talking to the controller — persist-side
-// counter fetches happen inside the ADR domain, not the load pipeline.
-type memReader interface {
-	readLine(t, line uint64) (done uint64)
-}
-
-// directReader is the in-order model's pass-through memReader.
-type directReader struct {
-	mc *memctrl.Controller
-}
-
-func (d directReader) readLine(t, line uint64) uint64 { return d.mc.ReadLine(t, line) }
