@@ -98,16 +98,3 @@ func (h *Heap) Remaining() uint64 {
 	}
 	return total
 }
-
-// SplitBanks carves a per-program heap out of `banks` consecutive bank
-// regions starting at bank `first`, using `frac` (0 < frac <= 1) of each
-// bank, offset from each bank's base by `skip` bytes (so, e.g., a log
-// region can claim the front of the first bank).
-func SplitBanks(bankBytes uint64, first, banks int, skip, perBank uint64) []Region {
-	regions := make([]Region, 0, banks)
-	for i := 0; i < banks; i++ {
-		base := uint64(first+i)*bankBytes + skip
-		regions = append(regions, Region{Base: base, Size: perBank})
-	}
-	return regions
-}

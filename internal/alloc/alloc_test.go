@@ -111,19 +111,6 @@ func TestInvalidRegions(t *testing.T) {
 	}
 }
 
-func TestSplitBanks(t *testing.T) {
-	regions := SplitBanks(1<<20, 2, 3, 4096, 1<<16)
-	if len(regions) != 3 {
-		t.Fatalf("got %d regions", len(regions))
-	}
-	if regions[0].Base != 2<<20+4096 {
-		t.Fatalf("first region base = %#x", regions[0].Base)
-	}
-	if regions[2].Base != 4<<20+4096 || regions[2].Size != 1<<16 {
-		t.Fatalf("third region = %+v", regions[2])
-	}
-}
-
 // Property: allocations stay inside their regions.
 func TestQuickInRegion(t *testing.T) {
 	f := func(sizes []uint16) bool {

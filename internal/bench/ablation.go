@@ -111,10 +111,10 @@ func ExtensionOsiris(base config.Config, o Opts) (latency, writes *stats.Table, 
 	for i, s := range schemes {
 		cols[i] = s.String()
 	}
-	cells := make([]Cell, 0, len(workload.Names)*len(schemes))
-	for ri, wl := range workload.Names {
-		for ci, s := range schemes {
-			cells = append(cells, Cell{Spec: o.spec(base, wl, s, 1024, 1), Row: ri, Col: ci})
+	cells := make([]Spec, 0, len(workload.Names)*len(schemes))
+	for _, wl := range workload.Names {
+		for _, s := range schemes {
+			cells = append(cells, o.spec(base, wl, s, 1024, 1))
 		}
 	}
 	ms, err := o.newRunner().RunCells(cells)

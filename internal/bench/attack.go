@@ -3,7 +3,6 @@ package bench
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -329,18 +328,16 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 		}
 		return s
 	}
-	var cells []Cell
+	var cells []Spec
 	for _, sch := range ao.Schemes {
-		for _, sp := range []Spec{
+		cells = append(cells,
 			hammerSpec(sch, true, false),
 			hammerSpec(sch, false, false),
 			hammerSpec(sch, false, true),
 			dosSpec(sch, false, false),
 			dosSpec(sch, true, false),
 			dosSpec(sch, true, true),
-		} {
-			cells = append(cells, Cell{Spec: sp, Row: len(cells)})
-		}
+		)
 	}
 
 	// The experiment needs per-core histograms and the mitigation
@@ -428,12 +425,8 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 		ci += 6
 	}
 
-	workers := o.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	for _, mode := range ao.Modes {
-		off, on, err := crashLoopCells(mode, o, ao, workers)
+		off, on, err := crashLoopCells(mode, o, ao)
 		if err != nil {
 			return nil, fmt.Errorf("attack: crash loop %v: %w", mode, err)
 		}
@@ -500,7 +493,7 @@ func scanRecoveryCosts(p crash.Params, workers int) ([]loopPoint, error) {
 // find the worst crash points of the hammer's persist timeline, crash
 // there repeatedly, and compare recovery behavior without and with the
 // recovery-work bound.
-func crashLoopCells(mode machine.Mode, o Opts, ao AttackOpts, workers int) (off, on CrashLoopCell, err error) {
+func crashLoopCells(mode machine.Mode, o Opts, ao AttackOpts) (off, on CrashLoopCell, err error) {
 	pAtk := crash.Params{
 		Mode:     mode,
 		Workload: "ctrhammer",
@@ -510,11 +503,11 @@ func crashLoopCells(mode machine.Mode, o Opts, ao AttackOpts, workers int) (off,
 	}
 	pBase := crash.Params{Mode: mode, Workload: "array", Steps: ao.CrashSteps, Seed: o.Seed}
 
-	atkPoints, err := scanRecoveryCosts(pAtk, workers)
+	atkPoints, err := scanRecoveryCosts(pAtk, o.Parallel)
 	if err != nil {
 		return off, on, err
 	}
-	basePoints, err := scanRecoveryCosts(pBase, workers)
+	basePoints, err := scanRecoveryCosts(pBase, o.Parallel)
 	if err != nil {
 		return off, on, err
 	}
@@ -540,7 +533,7 @@ func crashLoopCells(mode machine.Mode, o Opts, ao AttackOpts, workers int) (off,
 			AllConsistent:         true,
 		}
 		results := make([]crash.LoopResult, iters)
-		err := par.ForEachIndex(workers, iters, func(i int) error {
+		err := par.ForEachIndex(o.Parallel, iters, func(i int) error {
 			r, err := crash.RunLoopIteration(pAtk, schedule[i].at, bound)
 			if err != nil {
 				return err

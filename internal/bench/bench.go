@@ -150,10 +150,10 @@ func (o Opts) spec(base config.Config, wl string, scheme config.Scheme, txBytes,
 // columns are produced by specAt, executed on the parallel runner, with
 // one table value extracted per cell.
 func runGrid(o Opts, title string, cols []string, specAt func(row, col int) Spec, value func(stats.Metrics) float64) (*stats.Table, error) {
-	cells := make([]Cell, 0, len(workload.Names)*len(cols))
+	cells := make([]Spec, 0, len(workload.Names)*len(cols))
 	for ri := range workload.Names {
 		for ci := range cols {
-			cells = append(cells, Cell{Spec: specAt(ri, ci), Row: ri, Col: ci})
+			cells = append(cells, specAt(ri, ci))
 		}
 	}
 	ms, err := o.newRunner().RunCells(cells)
@@ -420,13 +420,13 @@ func Fig16(base config.Config, o Opts) (reduction, latency *stats.Table, err err
 	// Each grid point needs a WT and a SuperMem run; interleave them as
 	// adjacent cells so both replay the same cached trace.
 	schemes := []config.Scheme{config.WT, config.SuperMem}
-	var cells []Cell
-	for ri, wl := range workload.Names {
-		for ci, l := range lengths {
+	var cells []Spec
+	for _, wl := range workload.Names {
+		for _, l := range lengths {
 			cfg := base
 			cfg.WriteQueueEntries = l
 			for _, s := range schemes {
-				cells = append(cells, Cell{Spec: o.spec(cfg, wl, s, 1024, 1), Row: ri, Col: ci})
+				cells = append(cells, o.spec(cfg, wl, s, 1024, 1))
 			}
 		}
 	}
@@ -462,15 +462,15 @@ func Fig16(base config.Config, o Opts) (reduction, latency *stats.Table, err err
 func Fig17(base config.Config, o Opts) (hitRate, execTime *stats.Table, err error) {
 	sizes := []int{1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 	cols := []string{"1KB", "16KB", "64KB", "256KB", "1MB", "4MB"}
-	var cells []Cell
-	for ri, wl := range workload.Names {
-		for ci, size := range sizes {
+	var cells []Spec
+	for _, wl := range workload.Names {
+		for _, size := range sizes {
 			cfg := base
 			cfg.CounterCache.SizeBytes = size
 			if size < 64*cfg.CounterCache.Ways {
 				cfg.CounterCache.Ways = size / 64
 			}
-			cells = append(cells, Cell{Spec: o.spec(cfg, wl, config.SuperMem, 1024, 1), Row: ri, Col: ci})
+			cells = append(cells, o.spec(cfg, wl, config.SuperMem, 1024, 1))
 		}
 	}
 	ms, err := o.newRunner().RunCells(cells)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"runtime"
 
 	"supermem/internal/config"
 	"supermem/internal/core"
@@ -172,12 +171,8 @@ func FaultSweep(o FaultSweepOpts) (*FaultSweepResult, error) {
 		}
 	}
 
-	workers := o.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]crash.FaultResult, len(runs))
-	err := par.ForEachIndex(workers, len(runs), func(i int) error {
+	err := par.ForEachIndex(o.Parallel, len(runs), func(i int) error {
 		r := runs[i]
 		plan, err := fault.Generate(fault.PlanConfig{
 			Seed: r.planSeed, Steps: o.PlanSteps,

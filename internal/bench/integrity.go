@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 
 	"supermem/internal/config"
 	"supermem/internal/crash"
@@ -163,12 +162,8 @@ func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) {
 		}
 	}
 
-	workers := o.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]crash.FaultResult, len(runs))
-	err := par.ForEachIndex(workers, len(runs), func(i int) error {
+	err := par.ForEachIndex(o.Parallel, len(runs), func(i int) error {
 		r := runs[i]
 		recoveryCrashAt := -1
 		if r.crashAt >= 0 {
@@ -224,9 +219,9 @@ func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) {
 // recording.
 func integrityTiming(o IntegrityOpts) ([]IntegrityTimingCell, error) {
 	schemes := IntegritySchemes()
-	cells := make([]Cell, len(schemes))
+	cells := make([]Spec, len(schemes))
 	for i, s := range schemes {
-		cells[i] = Cell{Spec: Spec{
+		cells[i] = Spec{
 			Base:           config.Default(),
 			Workload:       "array",
 			Scheme:         s,
@@ -236,7 +231,7 @@ func integrityTiming(o IntegrityOpts) ([]IntegrityTimingCell, error) {
 			Cores:          1,
 			FootprintBytes: 1 << 20,
 			Seed:           1,
-		}}
+		}
 	}
 	ms, err := NewRunner(o.Parallel).RunCells(cells)
 	if err != nil {
@@ -246,7 +241,7 @@ func integrityTiming(o IntegrityOpts) ([]IntegrityTimingCell, error) {
 	for i, m := range ms {
 		out[i] = IntegrityTimingCell{
 			Scheme:        schemes[i].String(),
-			Workload:      cells[i].Spec.Workload,
+			Workload:      cells[i].Workload,
 			Cycles:        m.Cycles,
 			DataWrites:    m.DataWrites,
 			CounterWrites: m.CounterWrites,

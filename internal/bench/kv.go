@@ -184,12 +184,12 @@ func KVServe(base config.Config, o Opts, ko KVOpts) (*KVResult, error) {
 		}
 	}
 
-	cells := make([]Cell, len(points))
+	cells := make([]Spec, len(points))
 	for i, pt := range points {
 		cfg := base
 		cfg.CounterCachePartition = pt.v.part
 		cfg.PerCoreWriteQueues = pt.v.pcwq
-		cells[i] = Cell{Spec: Spec{
+		cells[i] = Spec{
 			Base:           cfg,
 			Workload:       "kv",
 			Scheme:         pt.scheme,
@@ -209,7 +209,7 @@ func KVServe(base config.Config, o Opts, ko KVOpts) (*KVResult, error) {
 				ScanLen:   ko.ScanLen,
 				Theta:     pt.theta,
 			},
-		}, Row: i}
+		}
 	}
 
 	// The experiment needs the per-shard histograms, so it always

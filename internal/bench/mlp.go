@@ -166,10 +166,10 @@ func MLP(base config.Config, o Opts, mo MLPOpts) (*MLPResult, error) {
 	base.MSHREntries = 0
 	base.PrefetchDegree = 0
 
-	var cells []Cell
+	var cells []Spec
 	for _, v := range vs {
 		for _, sch := range schemes {
-			cells = append(cells, Cell{Spec: Spec{
+			cells = append(cells, Spec{
 				Base:           base,
 				Workload:       mo.Workload,
 				Scheme:         sch,
@@ -183,7 +183,7 @@ func MLP(base config.Config, o Opts, mo MLPOpts) (*MLPResult, error) {
 				OoOWidth:       v.width,
 				MSHREntries:    v.mshrs,
 				PrefetchDegree: v.degree,
-			}})
+			})
 		}
 	}
 

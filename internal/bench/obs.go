@@ -59,14 +59,14 @@ func (c *ObsCollector) newRecorder(s Spec) *obs.Recorder {
 }
 
 // collect appends the finished cells' captures in cell order.
-func (c *ObsCollector) collect(cells []Cell, recs []*obs.Recorder) {
+func (c *ObsCollector) collect(cells []Spec, recs []*obs.Recorder) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, rec := range recs {
 		if rec == nil {
 			continue
 		}
-		s := cells[i].Spec
+		s := cells[i]
 		c.cells = append(c.cells, CellObs{
 			Label:      cellLabel(s),
 			TxBytes:    s.TxBytes,

@@ -77,7 +77,7 @@ func TestObsCollectorSkipsUntracedCells(t *testing.T) {
 	}
 	r := NewRunner(2)
 	r.Obs = c
-	cells := []Cell{{Spec: o.spec(tinyBase(), "array", config.Unsec, 256, 1)}}
+	cells := []Spec{o.spec(tinyBase(), "array", config.Unsec, 256, 1)}
 	if _, err := r.RunCells(cells); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestObsHistogramsPopulated(t *testing.T) {
 	o.Obs = &ObsCollector{Hist: true}
 	r := o.newRunner()
 	spec := o.spec(tinyBase(), "queue", config.SuperMem, 1024, 1)
-	if _, err := r.RunCells([]Cell{{Spec: spec}}); err != nil {
+	if _, err := r.RunCells([]Spec{spec}); err != nil {
 		t.Fatal(err)
 	}
 	cs := o.Obs.Cells()

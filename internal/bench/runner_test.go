@@ -53,7 +53,7 @@ func TestCachedTraceMatchesRebuilt(t *testing.T) {
 	}
 	r := NewRunner(2)
 	// Two identical cells: the second replays the first's recording.
-	ms, err := r.RunCells([]Cell{{Spec: spec}, {Spec: spec}})
+	ms, err := r.RunCells([]Spec{spec, spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,9 @@ func TestCachedTraceMatchesRebuilt(t *testing.T) {
 // six-scheme row builds its op streams once, not six times.
 func TestRunnerSharesTracesAcrossSchemes(t *testing.T) {
 	o := Opts{Transactions: 10, Warmup: 10, FootprintBytes: 64 << 10, Seed: 1, Parallel: 4}
-	var cells []Cell
-	for ci, s := range config.AllSchemes() {
-		cells = append(cells, Cell{Spec: o.spec(tinyBase(), "array", s, 256, 1), Col: ci})
+	var cells []Spec
+	for _, s := range config.AllSchemes() {
+		cells = append(cells, o.spec(tinyBase(), "array", s, 256, 1))
 	}
 	r := NewRunner(o.Parallel)
 	if _, err := r.RunCells(cells); err != nil {
@@ -111,10 +111,10 @@ func TestTraceCacheEvictsAfterPlannedUses(t *testing.T) {
 // deterministically, and not panic the pool.
 func TestRunCellsErrorPropagation(t *testing.T) {
 	o := Opts{Transactions: 5, Warmup: 5, FootprintBytes: 64 << 10, Seed: 1}
-	cells := []Cell{
-		{Spec: o.spec(tinyBase(), "array", config.Unsec, 256, 1)},
-		{Spec: o.spec(tinyBase(), "nope", config.WT, 256, 1)},
-		{Spec: o.spec(tinyBase(), "queue", config.SuperMem, 256, 1)},
+	cells := []Spec{
+		o.spec(tinyBase(), "array", config.Unsec, 256, 1),
+		o.spec(tinyBase(), "nope", config.WT, 256, 1),
+		o.spec(tinyBase(), "queue", config.SuperMem, 256, 1),
 	}
 	for _, workers := range []int{1, 4} {
 		r := NewRunner(workers)

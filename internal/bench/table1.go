@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 
 	"supermem/internal/machine"
 	"supermem/internal/par"
@@ -128,11 +127,7 @@ func Table1Parallel(parallel int) (*Table1Result, error) {
 		res.CrashPoints[mode] = relTotal
 		stageOK := map[pmem.Stage]bool{pmem.StagePrepare: true, pmem.StageMutate: true, pmem.StageCommit: true}
 		recovered := make([]bool, relTotal)
-		workers := parallel
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		err = par.ForEachIndex(workers, relTotal, func(crashAt int) error {
+		err = par.ForEachIndex(parallel, relTotal, func(crashAt int) error {
 			m, _, err := table1Run(mode, crashAt, old, new)
 			if err != nil {
 				return fmt.Errorf("table1 %v crash@%d: %w", mode, crashAt, err)

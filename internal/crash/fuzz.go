@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -296,11 +295,7 @@ func fuzzMode(fp FuzzParams, mode machine.Mode, replays *replayMemo) (ModeVerdic
 	}
 	points := samplePoints(total, stageStarts, fp.MaxPoints, fp.SampleSeed)
 	outcomes := make([]pointOutcome, len(points))
-	workers := fp.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	err = par.ForEachIndex(workers, len(points), func(i int) error {
+	err = par.ForEachIndex(fp.Parallel, len(points), func(i int) error {
 		crashAt := points[i]
 		m, w, completed, err := runToCrash(p, crashAt, nil)
 		if err != nil {

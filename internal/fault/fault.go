@@ -168,9 +168,6 @@ func (p Plan) Media() []Injection {
 	return out
 }
 
-// Empty reports whether the plan schedules nothing.
-func (p Plan) Empty() bool { return len(p.Injections) == 0 }
-
 // PlanConfig sizes a generated plan. Counts are exact; placement within
 // the horizons is drawn from the seed.
 type PlanConfig struct {

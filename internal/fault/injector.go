@@ -365,15 +365,6 @@ func (j *Injector) NoteCtrTreeDetect(page uint64) {
 	j.instant("tree detect ctr", page)
 }
 
-// DropShadowData forgets a line's shadow (the machine calls this when a
-// line is intentionally rewritten outside the persist path, e.g. when
-// recovery reconstructs state).
-func (j *Injector) DropShadowData(addr uint64) {
-	if j != nil {
-		delete(j.shadowData, addr)
-	}
-}
-
 func (j *Injector) instant(name string, arg uint64) {
 	j.rec.InstantArg(obs.TrackFault, name, uint64(j.step), "addr", arg)
 }

@@ -138,9 +138,6 @@ func New(kind scheme.IntegrityKind, level scheme.TreeLevel, coalesce bool) *Tree
 // Kind returns the tree's integrity design.
 func (t *Tree) Kind() scheme.IntegrityKind { return t.kind }
 
-// Level returns the tree's persistence level.
-func (t *Tree) Level() scheme.TreeLevel { return t.level }
-
 // Stats returns a copy of the tree's counters (zero value for nil).
 func (t *Tree) Stats() Stats {
 	if t == nil {

@@ -6,17 +6,21 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// ForEachIndex runs fn(0..n-1) across the given number of workers and
-// waits for all of them. On failure the lowest failing index's error is
+// ForEachIndex runs fn(0..n-1) across the given number of workers
+// (<= 0 means GOMAXPROCS) and waits for all of them. On failure the lowest failing index's error is
 // returned — deterministically: indexes above a recorded failure are
 // skipped (early stop), but an index is never skipped while any lower
 // index might still fail, because the stop marker only moves down and
 // every index below it runs to completion.
 func ForEachIndex(workers, n int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}

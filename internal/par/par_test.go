@@ -8,7 +8,7 @@ import (
 )
 
 func TestForEachIndexVisitsAll(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
+	for _, workers := range []int{0, 1, 2, 7, 64} {
 		var visited [100]atomic.Bool
 		if err := ForEachIndex(workers, len(visited), func(i int) error {
 			if visited[i].Swap(true) {

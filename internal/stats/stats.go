@@ -5,9 +5,7 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"reflect"
-	"sort"
 	"strings"
 )
 
@@ -339,35 +337,6 @@ func (t *Table) Normalize(baseline string) *Table {
 // Warnings returns the anomalies recorded while deriving this table
 // (currently: rows Normalize skipped for a zero baseline).
 func (t *Table) Warnings() []string { return t.warnings }
-
-// GeoMeanRow appends a geometric-mean summary row across existing rows
-// and returns the values (useful for "average" bars in figures).
-func (t *Table) GeoMeanRow(label string) []float64 {
-	if len(t.rows) == 0 {
-		return nil
-	}
-	cells := make([]float64, len(t.Columns))
-	for i := range cells {
-		prod := 1.0
-		n := 0
-		for _, r := range t.rows {
-			if r.cells[i] > 0 {
-				prod *= r.cells[i]
-				n++
-			}
-		}
-		if n > 0 {
-			cells[i] = math.Pow(prod, 1.0/float64(n))
-		}
-	}
-	t.AddRow(label, cells...)
-	return cells
-}
-
-// SortRows orders rows by label (stable presentation for maps).
-func (t *Table) SortRows() {
-	sort.SliceStable(t.rows, func(i, j int) bool { return t.rows[i].label < t.rows[j].label })
-}
 
 // tableJSON is the wire form of Table (rows are unexported).
 type tableJSON struct {

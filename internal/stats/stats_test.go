@@ -2,7 +2,6 @@ package stats
 
 import (
 	"encoding/json"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -179,19 +178,6 @@ func TestNormalizeSkipsZeroBaseline(t *testing.T) {
 	}
 }
 
-func TestGeoMeanRow(t *testing.T) {
-	tb := NewTable("g", "X")
-	tb.AddRow("a", 2)
-	tb.AddRow("b", 8)
-	vals := tb.GeoMeanRow("gmean")
-	if math.Abs(vals[0]-4) > 1e-9 {
-		t.Errorf("geomean = %v, want 4", vals[0])
-	}
-	if got := tb.Cell("gmean", "X"); math.Abs(got-4) > 1e-9 {
-		t.Errorf("gmean row cell = %v", got)
-	}
-}
-
 func TestStringRendersAllCells(t *testing.T) {
 	tb := NewTable("my title", "ColA", "ColB")
 	tb.AddRow("rowone", 1.25, 42000)
@@ -200,16 +186,6 @@ func TestStringRendersAllCells(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestSortRows(t *testing.T) {
-	tb := NewTable("s", "A")
-	tb.AddRow("z", 1)
-	tb.AddRow("a", 2)
-	tb.SortRows()
-	if tb.RowLabels()[0] != "a" {
-		t.Errorf("SortRows did not sort: %v", tb.RowLabels())
 	}
 }
 

@@ -124,22 +124,6 @@ func Record(src Source) []Op {
 	}
 }
 
-// Limit wraps a source, truncating it after n ops.
-func Limit(src Source, n int) Source { return &limited{src: src, left: n} }
-
-type limited struct {
-	src  Source
-	left int
-}
-
-func (l *limited) Next() (Op, bool) {
-	if l.left <= 0 {
-		return Op{}, false
-	}
-	l.left--
-	return l.src.Next()
-}
-
 const binaryMagic = "SMTR1\n"
 
 // WriteBinary encodes ops in the compact binary trace format.

@@ -39,21 +39,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	src := Limit(NewSliceSource(sampleOps()), 3)
-	got := Record(src)
-	if len(got) != 3 {
-		t.Fatalf("Limit(3) yielded %d ops", len(got))
-	}
-	if got[2].Kind != Write {
-		t.Fatalf("wrong third op: %v", got[2])
-	}
-	// Limit longer than the stream is harmless.
-	if n := len(Record(Limit(NewSliceSource(sampleOps()), 100))); n != 7 {
-		t.Fatalf("over-long Limit yielded %d ops", n)
-	}
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, sampleOps()); err != nil {

@@ -32,6 +32,7 @@ package supermem
 
 import (
 	"io"
+	"slices"
 
 	"supermem/internal/bench"
 	"supermem/internal/config"
@@ -41,6 +42,7 @@ import (
 	"supermem/internal/nvm"
 	"supermem/internal/obs"
 	"supermem/internal/stats"
+	"supermem/internal/workload"
 )
 
 // Re-exported configuration types. Config is the full system
@@ -114,13 +116,13 @@ func DefaultConfig() Config { return config.Default() }
 // Schemes lists the paper's evaluated schemes in figure order.
 func Schemes() []Scheme { return config.AllSchemes() }
 
-// ExtendedSchemes adds this repository's extra baselines (SCA, Osiris).
+// ExtendedSchemes adds this repository's extra baselines (SCA, Osiris,
+// and the integrity-tree designs BMT, Triad-NVM, Phoenix) to the
+// paper's scheme list.
 func ExtendedSchemes() []Scheme { return config.ExtendedSchemes() }
 
 // Workloads lists the evaluation's workload names in figure order.
-func Workloads() []string {
-	return []string{"array", "queue", "btree", "hashtable", "rbtree"}
-}
+func Workloads() []string { return slices.Clone(workload.Names) }
 
 // RunSpec describes one simulation run: a workload executing durable
 // transactions on a secure-NVM system.

@@ -76,6 +76,11 @@ func TestWorkloadsAndSchemesLists(t *testing.T) {
 	if len(supermem.Workloads()) != 5 {
 		t.Fatalf("Workloads() = %v", supermem.Workloads())
 	}
+	w := supermem.Workloads()
+	w[0] = "mutated"
+	if got := supermem.Workloads()[0]; got != "array" {
+		t.Fatalf("Workloads()[0] = %q after a caller edited its copy, want array", got)
+	}
 	if len(supermem.Schemes()) != 6 {
 		t.Fatalf("Schemes() = %v", supermem.Schemes())
 	}
