@@ -8,6 +8,8 @@
 //	supermem-bench -exp fig13/4096B           # one entry of the group
 //	supermem-bench -exp fig14                 # Figure 14 (2/4/8 programs)
 //	supermem-bench -exp table1                # recoverability sweep
+//	supermem-bench -exp crash -strict         # differential crash fuzzer vs Table 1
+//	supermem-bench -exp crash -crash-workload btree -crash-maxpoints 0  # exhaustive
 //	supermem-bench -exp ablation              # placement & coalescing ablations
 //	supermem-bench -exp faultsweep -strict -json         # CI gate + artifact
 //	supermem-bench -exp kv -kv-shards 8 -kv-skew 0.99 -kv-mix 50,30,10,5,5 -json
@@ -17,8 +19,8 @@
 //
 // -exp takes an exact name, a group (the part of a name before "/"), or
 // all; an unknown value lists the names. Each experiment's own flags
-// (-kv-*, -attack-*, -mlp-*, -fault-seed) are registered beside it in
-// internal/bench. Sizing knobs: -transactions, -warmup, -footprint,
+// (-crash-*, -kv-*, -attack-*, -mlp-*, -fault-seed) are registered
+// beside it in internal/bench. Sizing knobs: -transactions, -warmup, -footprint,
 // -seed.
 //
 // Core model knobs: -core selects the per-core timing model for every
@@ -47,7 +49,9 @@
 // (openable in Perfetto) capturing the -events-cell cell's bank
 // reservations, write-queue admissions/retirements, CWC removals, and
 // re-encryptions. -hist collects latency histograms on every cell; with
-// -json they land in the artifact's "histograms" block.
+// -json they land in the artifact's "histograms" block. The crash
+// experiment's cells are crash-free reference runs on the functional
+// SuperMem machine, measured in persist steps instead of cycles.
 package main
 
 import (

@@ -13,6 +13,7 @@ import (
 
 	"supermem/internal/bench"
 	"supermem/internal/config"
+	"supermem/internal/workload"
 )
 
 // perfRuns decodes a perf-trajectory file's runs generically, so the
@@ -114,7 +115,7 @@ func TestRegistryConformance(t *testing.T) {
 		t.Errorf("-h exit code %d, want 0", code)
 	}
 
-	for _, sel := range []string{"all", "table1", "fig13", "fig13/1024B", "fig14", "fig15", "fig16", "fig17",
+	for _, sel := range []string{"all", "table1", "crash", "fig13", "fig13/1024B", "fig14", "fig15", "fig16", "fig17",
 		"ablation", "sca", "osiris", "faultsweep", "integrity", "kv", "attack", "mlp"} {
 		if got, err := selectExperiments(exps, sel); err != nil || len(got) == 0 {
 			t.Errorf("-exp %s selects %d entries, err %v", sel, len(got), err)
@@ -223,5 +224,52 @@ func TestRunLoop(t *testing.T) {
 	}
 	if code := run(fakeExperiments(&collectors), []string{"-exp", "fake/b", "-fake-fail", "-strict"}); code != 1 {
 		t.Errorf("violation under -strict: exit code %d, want 1", code)
+	}
+}
+
+// TestUnwritableArtifactFails: a run that cannot write its artifact
+// must not exit 0.
+func TestUnwritableArtifactFails(t *testing.T) {
+	t.Chdir(t.TempDir())
+	if err := os.Mkdir("BENCH_crash.json", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-exp", "crash", "-crash-workload", "array", "-crash-steps", "2", "-crash-maxpoints", "4", "-json"}
+	if code := run(bench.Experiments(), args); code != 1 {
+		t.Errorf("exit code %d, want 1", code)
+	}
+}
+
+// TestCrashHistograms: under -hist the crash experiment observes one
+// reference run per swept workload, and the artifact's histograms block
+// holds one "<workload>/SuperMem" cell for each.
+func TestCrashHistograms(t *testing.T) {
+	t.Chdir(t.TempDir())
+	args := []string{"-exp", "crash", "-crash-steps", "2", "-crash-maxpoints", "4", "-hist", "-json"}
+	if code := run(bench.Experiments(), args); code != 0 {
+		t.Fatalf("exit code %d, want 0", code)
+	}
+	data, err := os.ReadFile("BENCH_crash.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a struct {
+		Histograms []bench.CellObs `json:"histograms"`
+	}
+	if err := json.Unmarshal(data, &a); err != nil {
+		t.Fatal(err)
+	}
+	var labels, want []string
+	for _, c := range a.Histograms {
+		labels = append(labels, c.Label)
+		if c.Hist.TxLatency.Count != 2 {
+			t.Errorf("%s: %d transactions in the histogram, want 2", c.Label, c.Hist.TxLatency.Count)
+		}
+	}
+	for _, w := range workload.Names {
+		want = append(want, w+"/SuperMem")
+	}
+	if !reflect.DeepEqual(labels, want) {
+		t.Errorf("histogram cells %v, want %v", labels, want)
 	}
 }

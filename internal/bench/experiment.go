@@ -40,7 +40,7 @@ type Result interface {
 func Experiments() []Experiment {
 	exps := []Experiment{{Name: "table1", Run: func(_ config.Config, o Opts) (Result, error) {
 		return Table1Parallel(o.Parallel)
-	}}}
+	}}, crashExperiment()}
 	sizes := []int{256, 1024, 4096}
 	for _, size := range sizes {
 		exps = append(exps, Experiment{Name: fmt.Sprintf("fig13/%dB", size), Run: func(cfg config.Config, o Opts) (Result, error) {

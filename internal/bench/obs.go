@@ -48,32 +48,27 @@ type ObsCollector struct {
 	cells []CellObs
 }
 
-// newRecorder builds the recorder for one cell, or nil when the
-// collector wants nothing from it.
-func (c *ObsCollector) newRecorder(s Spec) *obs.Recorder {
-	trace := c.TraceLabel != "" && c.TraceLabel == cellLabel(s)
+// newRecorder builds the recorder for the cell labelled label, or nil
+// when the collector wants nothing from it.
+func (c *ObsCollector) newRecorder(label string) *obs.Recorder {
+	trace := c.TraceLabel != "" && c.TraceLabel == label
 	if !c.Hist && !trace {
 		return nil
 	}
 	return obs.NewRecorder(obs.Options{Window: c.Window, Trace: trace, MaxTraceEvents: c.MaxTraceEvents})
 }
 
-// collect appends the finished cells' captures in cell order.
-func (c *ObsCollector) collect(cells []Spec, recs []*obs.Recorder) {
+// collect snapshots the finished cells' recorders and appends the
+// captures in cell order, skipping cells that got no recorder.
+func (c *ObsCollector) collect(cells []CellObs) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, rec := range recs {
-		if rec == nil {
+	for _, cell := range cells {
+		if cell.Rec == nil {
 			continue
 		}
-		s := cells[i]
-		c.cells = append(c.cells, CellObs{
-			Label:      cellLabel(s),
-			TxBytes:    s.TxBytes,
-			WriteQueue: s.Base.WriteQueueEntries,
-			Hist:       rec.Snapshot(),
-			Rec:        rec,
-		})
+		cell.Hist = cell.Rec.Snapshot()
+		c.cells = append(c.cells, cell)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestObsParallelMatchesSerial(t *testing.T) {
 func TestObsCollectorSkipsUntracedCells(t *testing.T) {
 	c := &ObsCollector{TraceLabel: "btree/SuperMem"}
 	o := tinyOpts()
-	if rec := c.newRecorder(o.spec(tinyBase(), "array", config.Unsec, 256, 1)); rec != nil {
+	if rec := c.newRecorder(cellLabel(o.spec(tinyBase(), "array", config.Unsec, 256, 1))); rec != nil {
 		t.Error("non-matching cell got a recorder")
 	}
 	r := NewRunner(2)

@@ -45,11 +45,17 @@ func (r *Runner) CacheStats() (hits, misses int64) { return r.cache.Stats() }
 // scheduling. On failure the lowest-index error is returned, so errors
 // are deterministic too.
 func (r *Runner) RunCells(cells []Spec) ([]stats.Metrics, error) {
-	var recs []*obs.Recorder
+	var (
+		recs     []*obs.Recorder
+		captures []CellObs
+	)
 	if r.Obs != nil {
 		recs = make([]*obs.Recorder, len(cells))
-		for i, c := range cells {
-			recs[i] = r.Obs.newRecorder(c)
+		captures = make([]CellObs, len(cells))
+		for i, s := range cells {
+			label := cellLabel(s)
+			recs[i] = r.Obs.newRecorder(label)
+			captures[i] = CellObs{Label: label, TxBytes: s.TxBytes, WriteQueue: s.Base.WriteQueueEntries, Rec: recs[i]}
 		}
 	}
 	out, err := r.run(cells, recs)
@@ -57,7 +63,7 @@ func (r *Runner) RunCells(cells []Spec) ([]stats.Metrics, error) {
 		return nil, err
 	}
 	if r.Obs != nil {
-		r.Obs.collect(cells, recs)
+		r.Obs.collect(captures)
 	}
 	return out, nil
 }
