@@ -129,24 +129,6 @@ type Machine struct {
 	recoveryBound     int
 	recoveryUsed      int
 	boundedRecoveries int
-
-	// Overflow-throttle accounting (the functional mirror of the timing
-	// model's global token bucket, clocked by the persist index):
-	// overflowing bumps that would have stalled are counted, with
-	// machine state deliberately untouched — the mitigation is
-	// backpressure in time, and the integrity tests pin that a
-	// throttled bump still produces tree-consistent state.
-	throttlePeriod uint64
-	throttleBurst  int
-	throttleBkt    bumpBucket
-	throttledBumps int
-}
-
-// bumpBucket is the overflow-throttle token bucket, clocked by the
-// persist index.
-type bumpBucket struct {
-	tokens   int
-	nextMint uint64
 }
 
 // rsrState is the 20-byte RSR: page number, the page's old major
@@ -219,27 +201,6 @@ func New(mode Mode, key []byte, opts ...Option) (*Machine, error) {
 // Successor machines built by Recover inherit it.
 func (m *Machine) SetRecorder(r *obs.Recorder) { m.rec = r }
 
-// SetThrottle enables overflow-throttle accounting: a machine-wide
-// token bucket of the given burst, refilling one token every period
-// persist steps, charged by the minor-counter bumps that wrap a line.
-// Overflows that exceed the bucket are counted (ThrottledBumps) — the
-// machine's state transitions are deliberately identical either way,
-// because the mitigation is backpressure in *time* and time lives in
-// internal/core. period 0 disables. Successors inherit the setting
-// (with a fresh bucket) across Recover.
-func (m *Machine) SetThrottle(period uint64, burst int) {
-	m.throttlePeriod = period
-	if burst < 1 {
-		burst = 1
-	}
-	m.throttleBurst = burst
-	m.throttleBkt = bumpBucket{tokens: burst}
-}
-
-// ThrottledBumps returns the number of overflowing minor bumps the
-// throttle would have stalled.
-func (m *Machine) ThrottledBumps() int { return m.throttledBumps }
-
 // BoundedRecoveries returns the number of recovery passes that hit the
 // recovery-work bound and degraded to staged recovery.
 func (m *Machine) BoundedRecoveries() int { return m.boundedRecoveries }
@@ -257,31 +218,6 @@ func (m *Machine) ResumeRecovery() {
 	}
 	m.recoveryUsed = 0
 	m.finishReencryption()
-}
-
-// noteThrottle charges one overflow token for page's wrapping bump
-// against the persist-index-clocked bucket, counting (but not
-// blocking) overflows that would have stalled.
-func (m *Machine) noteThrottle(page uint64) {
-	if m.throttlePeriod == 0 {
-		return
-	}
-	t := uint64(m.persists)
-	b := &m.throttleBkt
-	for b.tokens < m.throttleBurst && b.nextMint <= t {
-		b.tokens++
-		b.nextMint += m.throttlePeriod
-	}
-	if b.tokens > 0 {
-		if b.tokens == m.throttleBurst {
-			b.nextMint = t + m.throttlePeriod
-		}
-		b.tokens--
-		return
-	}
-	b.nextMint += m.throttlePeriod
-	m.throttledBumps++
-	m.rec.InstantArg(obs.TrackMachine, "throttle stall", t, "page", page)
 }
 
 // Mode returns the machine's persistence mode.
@@ -435,11 +371,8 @@ func (m *Machine) CLWB(addr uint64) {
 	cl := m.currentCounter(page)
 	li := ctr.LineIndex(base)
 	if cl.Minors[li] == ctr.MinorMax {
-		// Minor overflow: the wrapping bump pays the overflow throttle
-		// (accounting only; backpressure time lives in internal/core),
-		// then the page re-encrypts under major+1 before the triggering
-		// write proceeds (Section 3.4.4).
-		m.noteThrottle(page)
+		// Minor overflow: the page re-encrypts under major+1 before the
+		// triggering write proceeds (Section 3.4.4).
 		if !m.reencryptPage(page) {
 			return // crashed mid-re-encryption; RSR holds the state
 		}
@@ -590,9 +523,6 @@ func (m *Machine) Recover(opts ...Option) *Machine {
 	n.rec = m.rec
 	n.inj = m.inj
 	n.recoveryBound = m.recoveryBound
-	if m.throttlePeriod > 0 {
-		n.SetThrottle(m.throttlePeriod, m.throttleBurst)
-	}
 	for _, o := range opts {
 		o(n)
 	}
