@@ -276,23 +276,15 @@ func recoverAndCheck(p Params, m *machine.Machine, w workload.Workload, complete
 		return res, m, nil
 	}
 
-	var r *machine.Machine
-	if recoveryCrashAt >= 0 {
-		r = m.Recover(machine.WithCrashAtPersist(recoveryCrashAt))
-	} else {
-		r = m.Recover()
-	}
-	drainStagedRecovery(r)
-	pmem.Recover(r, logBase, logSize)
+	// A negative recoveryCrashAt leaves the nested crash unarmed.
+	r, _, _ := recoverDrained(m, machine.WithCrashAtPersist(recoveryCrashAt))
 	if r.Crashed() {
 		// The nested failure hit mid-recovery; power-cycle again. The
 		// second recovery runs to completion, and consistency is judged
 		// on its result.
 		res.RecoveryCrashed = true
 		res.RecoveryCrashStep = recoveryCrashAt
-		r = r.Recover()
-		drainStagedRecovery(r)
-		pmem.Recover(r, logBase, logSize)
+		r, _, _ = recoverDrained(r)
 	}
 	res.RecoveryProbes = r.OsirisProbes()
 
@@ -409,7 +401,7 @@ func Sweep(p Params, stride int) (SweepResult, error) {
 	if stride < 1 {
 		stride = 1
 	}
-	total, err := countPersists(p)
+	total, err := TotalPersists(p)
 	if err != nil {
 		return SweepResult{}, err
 	}
@@ -441,13 +433,6 @@ func Sweep(p Params, stride int) (SweepResult, error) {
 	return out, nil
 }
 
-// countPersists runs the workload crash-free and returns the persist
-// steps consumed by its transactions (after setup).
-func countPersists(p Params) (int, error) {
-	total, _, err := persistProfile(p)
-	return total, err
-}
-
 // persistProfile runs the workload crash-free and returns the persist
 // steps consumed by its transactions (after setup) plus the persist
 // index at the start of every commit stage — the prepare/mutate/commit
@@ -474,7 +459,7 @@ func persistProfile(p Params) (total int, stageStarts []int, err error) {
 // ReferenceRun executes the workload crash-free on the byte-accurate
 // machine with an observability recorder attached and verifies the
 // final state. It returns the persist-step count of each transaction —
-// the distribution behind supermem-crash's -hist output — while the
+// the distribution behind the crash experiment's -hist output — while the
 // recorder (if tracing) captures every persist instant and RSR
 // re-encryption span the machine emits. Setup traffic is excluded: the
 // recorder attaches after setup, matching how crash sweeps count steps.
@@ -508,31 +493,21 @@ func ReferenceRun(p Params, rec *obs.Recorder) ([]int, error) {
 	return counts, nil
 }
 
-// recoveryPersists measures the persistence micro-steps the recovery
-// path consumes after a crash at crashAt: finishing an in-flight RSR
-// re-encryption plus reapplying the redo log. Zero means the recovery
-// wrote nothing (nothing to finish, no sealed log).
-func recoveryPersists(p Params, crashAt int) (int, error) {
-	p = p.withDefaults()
-	m, _, _, err := runToCrash(p, crashAt, nil)
-	if err != nil {
-		return 0, err
+// recoverDrained boots the crashed machine's successor (opts can arm a
+// nested crash or a recovery-work bound), resumes a bounded (staged)
+// recovery until no re-encryption work is pending, as a real boot
+// sequence would before mounting, and reapplies the redo log. It also
+// returns the recovery passes run (the boot plus one per
+// ResumeRecovery) and the persist steps of the largest one. Unbounded
+// recoveries never leave pending work, so they take one pass.
+func recoverDrained(m *machine.Machine, opts ...machine.Option) (r *machine.Machine, passes, maxPass int) {
+	r = m.Recover(opts...)
+	passes, maxPass = 1, r.Persists()
+	for prev := r.Persists(); r.RecoveryPending(); prev = r.Persists() {
+		r.ResumeRecovery()
+		passes++
+		maxPass = max(maxPass, r.Persists()-prev)
 	}
-	if !m.Crashed() {
-		return 0, nil
-	}
-	r := m.Recover()
-	drainStagedRecovery(r)
 	pmem.Recover(r, logBase, logSize)
-	return r.Persists(), nil
-}
-
-// drainStagedRecovery resumes a bounded (staged) recovery until no
-// re-encryption work is pending, as a real boot sequence would before
-// mounting. Unbounded recoveries never leave pending work, so this is
-// a no-op for them.
-func drainStagedRecovery(m *machine.Machine) {
-	for m.RecoveryPending() {
-		m.ResumeRecovery()
-	}
+	return r, passes, maxPass
 }

@@ -165,12 +165,12 @@ func TestSweepString(t *testing.T) {
 
 func TestCountPersistsPositive(t *testing.T) {
 	p := Params{Mode: machine.WTRegister, Workload: "queue", Steps: 3}.withDefaults()
-	n, err := countPersists(p)
+	n, err := TotalPersists(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n <= 0 {
-		t.Fatalf("countPersists = %d", n)
+		t.Fatalf("TotalPersists = %d", n)
 	}
 }
 
@@ -180,12 +180,12 @@ func TestCountPersistsPositive(t *testing.T) {
 // never exercised. Any stride must now test both endpoints.
 func TestSweepAlwaysTestsFinalPersist(t *testing.T) {
 	p := Params{Mode: machine.WTRegister, Workload: "queue", Steps: 3}
-	total, err := countPersists(p.withDefaults())
+	total, err := TotalPersists(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total < 3 {
-		t.Fatalf("countPersists = %d, too few to make the stride interesting", total)
+		t.Fatalf("TotalPersists = %d, too few to make the stride interesting", total)
 	}
 	// A stride larger than the whole run: only the endpoints remain.
 	res, err := Sweep(p, total*10)

@@ -1,9 +1,6 @@
 package crash
 
-import (
-	"supermem/internal/machine"
-	"supermem/internal/pmem"
-)
+import "supermem/internal/machine"
 
 // This file is the malicious crash-loop driver: an attacker who can
 // force power failures (or panic loops) crashes the machine at the
@@ -17,7 +14,8 @@ import (
 // TotalPersists measures the persist steps the workload's transactions
 // consume crash-free — the domain of valid crash points.
 func TotalPersists(p Params) (int, error) {
-	return countPersists(p.withDefaults())
+	total, _, err := persistProfile(p.withDefaults())
+	return total, err
 }
 
 // RecoveryCost measures the persistence micro-steps one uninterrupted
@@ -25,7 +23,15 @@ func TotalPersists(p Params) (int, error) {
 // redo-log reapply). Zero means the crash point needed no recovery
 // writes.
 func RecoveryCost(p Params, crashAt int) (int, error) {
-	return recoveryPersists(p, crashAt)
+	m, _, _, err := runToCrash(p.withDefaults(), crashAt, nil)
+	if err != nil {
+		return 0, err
+	}
+	if !m.Crashed() {
+		return 0, nil
+	}
+	r, _, _ := recoverDrained(m)
+	return r.Persists(), nil
 }
 
 // LoopResult reports one crash+recover iteration of the crash loop.
@@ -63,20 +69,9 @@ func RunLoopIteration(p Params, crashAt, bound int) (LoopResult, error) {
 		out.Consistent = w.Verify(m) == nil
 		return out, nil
 	}
-	r := m.Recover(machine.WithRecoveryBound(bound))
-	out.Passes = 1
-	out.MaxPassPersists = r.Persists()
-	prev := r.Persists()
-	for r.RecoveryPending() {
-		r.ResumeRecovery()
-		out.Passes++
-		if pass := r.Persists() - prev; pass > out.MaxPassPersists {
-			out.MaxPassPersists = pass
-		}
-		prev = r.Persists()
-	}
+	r, passes, maxPass := recoverDrained(m, machine.WithRecoveryBound(bound))
+	out.Passes, out.MaxPassPersists = passes, maxPass
 	out.BoundedPasses = r.BoundedRecoveries()
-	pmem.Recover(r, logBase, logSize)
 	out.RecoveryPersists = r.Persists()
 	ok, err := newReplayMemo(p).matches(r, completed)
 	if err != nil {

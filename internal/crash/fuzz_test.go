@@ -63,7 +63,7 @@ func TestFuzzDeterministicAcrossParallel(t *testing.T) {
 // Fuzz crashes each point once, recovers that one machine for the
 // outer and every nested check, and memoizes replays. The oracle is the
 // algorithm without that sharing, built from independent calls per
-// point — Run, recoveryPersists, RunNested — with a shrink whose every
+// point — Run, RecoveryCost, RunNested — with a shrink whose every
 // probe reruns the workload. The verdicts must be identical, minimized
 // failures included.
 func TestFuzzMatchesIndependentRuns(t *testing.T) {
@@ -125,7 +125,7 @@ func independentVerdict(fp FuzzParams, mode machine.Mode) (ModeVerdict, error) {
 		results := []Result{outer}
 		if outer.Crashed {
 			v.Crashed++
-			rp, err := recoveryPersists(p, crashAt)
+			rp, err := RecoveryCost(p, crashAt)
 			if err != nil {
 				return ModeVerdict{}, err
 			}
@@ -243,7 +243,7 @@ func TestFuzzMinimizesWBNoBatteryFailure(t *testing.T) {
 // every double-crash must still recover to a transaction boundary.
 func TestNestedRecoveryCrashesConsistent(t *testing.T) {
 	p := Params{Mode: machine.WTRegister, Workload: "array", Steps: 4}.withDefaults()
-	total, err := countPersists(p)
+	total, err := TotalPersists(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestNestedRecoveryCrashesConsistent(t *testing.T) {
 	// nothing, which would make the nested sweep vacuous.
 	crashAt, rp := -1, 0
 	for c := total / 2; c < total; c++ {
-		n, err := recoveryPersists(p, c)
+		n, err := RecoveryCost(p, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestNestedRecoveryCrashesConsistent(t *testing.T) {
 // never fires; the result reports that.
 func TestNestedCrashBeyondRecovery(t *testing.T) {
 	p := Params{Mode: machine.WTRegister, Workload: "array", Steps: 3}.withDefaults()
-	total, err := countPersists(p)
+	total, err := TotalPersists(p)
 	if err != nil {
 		t.Fatal(err)
 	}
