@@ -451,9 +451,10 @@ type loopPoint struct {
 }
 
 // scanRecoveryCosts measures the recovery cost of up to 64 evenly
-// strided crash points over the workload's persist timeline and
-// returns them sorted worst-first (ties by earlier crash point).
-func scanRecoveryCosts(p crash.Params, workers int) ([]loopPoint, error) {
+// strided crash points over the workload's persist timeline, all forked
+// from one run, and returns them sorted worst-first (ties by earlier
+// crash point).
+func scanRecoveryCosts(p crash.Params) ([]loopPoint, error) {
 	total, err := crash.TotalPersists(p)
 	if err != nil {
 		return nil, err
@@ -465,20 +466,17 @@ func scanRecoveryCosts(p crash.Params, workers int) ([]loopPoint, error) {
 	if stride < 1 {
 		stride = 1
 	}
-	points := make([]loopPoint, 0, total/stride+1)
-	for at := 0; at < total; at += stride {
-		points = append(points, loopPoint{at: at})
+	var at []int
+	for a := 0; a < total; a += stride {
+		at = append(at, a)
 	}
-	err = par.ForEachIndex(workers, len(points), func(i int) error {
-		cost, err := crash.RecoveryCost(p, points[i].at)
-		if err != nil {
-			return err
-		}
-		points[i].cost = cost
-		return nil
-	})
+	costs, err := crash.RecoveryCosts(p, at)
 	if err != nil {
 		return nil, err
+	}
+	points := make([]loopPoint, len(at))
+	for i := range at {
+		points[i] = loopPoint{at: at[i], cost: costs[i]}
 	}
 	sort.SliceStable(points, func(i, j int) bool {
 		if points[i].cost != points[j].cost {
@@ -503,11 +501,11 @@ func crashLoopCells(mode machine.Mode, o Opts, ao AttackOpts) (off, on CrashLoop
 	}
 	pBase := crash.Params{Mode: mode, Workload: "array", Steps: ao.CrashSteps, Seed: o.Seed}
 
-	atkPoints, err := scanRecoveryCosts(pAtk, o.Parallel)
+	atkPoints, err := scanRecoveryCosts(pAtk)
 	if err != nil {
 		return off, on, err
 	}
-	basePoints, err := scanRecoveryCosts(pBase, o.Parallel)
+	basePoints, err := scanRecoveryCosts(pBase)
 	if err != nil {
 		return off, on, err
 	}

@@ -39,18 +39,14 @@ func (t *Tree) EncodeSnapshot() []byte {
 	}
 	sort.Slice(leaves, func(a, b int) bool { return leaves[a] < leaves[b] })
 
-	var interior []nodeKey
+	var interior []uint64
 	if t.level == scheme.TreeFull {
-		interior = make([]nodeKey, 0, len(t.interior))
+		interior = make([]uint64, 0, len(t.interior))
 		for k := range t.interior {
 			interior = append(interior, k)
 		}
-		sort.Slice(interior, func(a, b int) bool {
-			if interior[a].level != interior[b].level {
-				return interior[a].level < interior[b].level
-			}
-			return interior[a].index < interior[b].index
-		})
+		// Packed keys sort level-major, then by index.
+		sort.Slice(interior, func(a, b int) bool { return interior[a] < interior[b] })
 	}
 
 	out := make([]byte, 0, len(snapshotMagic)+3+16+8+len(leaves)*leafRec+len(interior)*interiorRec)
@@ -68,8 +64,9 @@ func (t *Tree) EncodeSnapshot() []byte {
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(interior)))
 	for _, k := range interior {
 		n := t.interior[k]
-		out = append(out, k.level)
-		out = binary.LittleEndian.AppendUint64(out, k.index)
+		level, index := splitKey(k)
+		out = append(out, level)
+		out = binary.LittleEndian.AppendUint64(out, index)
 		out = binary.LittleEndian.AppendUint64(out, n.Version)
 		out = binary.LittleEndian.AppendUint64(out, n.Digest)
 	}
@@ -138,7 +135,7 @@ func DecodeSnapshot(data []byte) (*Tree, error) {
 	if intCount > 0 && level != scheme.TreeFull {
 		return nil, fmt.Errorf("integrity: leaf-persisted snapshot carries %d interior nodes", intCount)
 	}
-	var prevKey nodeKey
+	var prevKey uint64
 	first = true
 	for i := 0; i < int(intCount); i++ {
 		lvb := r.take(1)
@@ -155,8 +152,8 @@ func DecodeSnapshot(data []byte) (*Tree, error) {
 		if idx >= uint64(LeafCount>>(3*int(lv))) {
 			return nil, fmt.Errorf("integrity: interior index %d beyond level-%d capacity", idx, lv)
 		}
-		k := nodeKey{lv, idx}
-		if !first && (lv < prevKey.level || (lv == prevKey.level && idx <= prevKey.index)) {
+		k := nodeKey(lv, idx)
+		if !first && k <= prevKey {
 			return nil, fmt.Errorf("integrity: interior records not strictly ascending at (%d,%d)", lv, idx)
 		}
 		prevKey, first = k, false

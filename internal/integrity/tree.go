@@ -15,7 +15,11 @@
 // serial-vs-parallel artifact contract.
 package integrity
 
-import "supermem/internal/scheme"
+import (
+	"maps"
+
+	"supermem/internal/scheme"
+)
 
 // LineBytes is the protected line size; it mirrors config.LineSize
 // (which this package does not import to stay dependency-free).
@@ -67,10 +71,16 @@ type Node struct {
 	Digest  uint64
 }
 
-type nodeKey struct {
-	level uint8
-	index uint64
-}
+// nodeKey packs an interior node's (level, index) into one map key:
+// the level in the top byte, the index below it (an index is under
+// LeafCount, far below 2^56). A uint64 key hashes on the runtime's
+// fast path, and computeInterior looks up Arity children per level on
+// every update and verify. Packed keys also sort level-major, the
+// snapshot's record order.
+func nodeKey(level uint8, index uint64) uint64 { return uint64(level)<<56 | index }
+
+// splitKey unpacks a nodeKey.
+func splitKey(k uint64) (level uint8, index uint64) { return uint8(k >> 56), k & (1<<56 - 1) }
 
 // Stats counts the tree's work. All counts are deterministic functions
 // of the update/verify sequence.
@@ -95,7 +105,7 @@ type Stats struct {
 const wcbSlots = 16
 
 type wcbEntry struct {
-	key   nodeKey
+	key   uint64 // a nodeKey
 	valid bool
 }
 
@@ -110,8 +120,9 @@ type Tree struct {
 	level    scheme.TreeLevel
 	coalesce bool
 
-	leaves   map[uint64]Node
-	interior map[nodeKey]Node
+	leaves map[uint64]Node
+	// interior is keyed by nodeKey.
+	interior map[uint64]Node
 	// rootDigest/rootVersion are the on-chip ADR register.
 	rootDigest  uint64
 	rootVersion uint64
@@ -131,8 +142,20 @@ func New(kind scheme.IntegrityKind, level scheme.TreeLevel, coalesce bool) *Tree
 		level:    level,
 		coalesce: coalesce,
 		leaves:   make(map[uint64]Node),
-		interior: make(map[nodeKey]Node),
+		interior: make(map[uint64]Node),
 	}
+}
+
+// Clone deep-copies the tree: nodes, the root register, the
+// write-combining buffer and the counters (nil for nil).
+func (t *Tree) Clone() *Tree {
+	if t == nil {
+		return nil
+	}
+	c := *t
+	c.leaves = maps.Clone(t.leaves)
+	c.interior = maps.Clone(t.interior)
+	return &c
 }
 
 // Kind returns the tree's integrity design.
@@ -158,7 +181,7 @@ func (t *Tree) node(level uint8, index uint64) Node {
 	if level == 0 {
 		return t.leaves[index]
 	}
-	return t.interior[nodeKey{level, index}]
+	return t.interior[nodeKey(level, index)]
 }
 
 // Update absorbs one counter-line persist: it rewrites the leaf and
@@ -185,7 +208,7 @@ func (t *Tree) Update(page uint64, line *[LineBytes]byte) {
 			t.rootDigest, t.rootVersion = n.Digest, n.Version
 			break
 		}
-		t.interior[nodeKey{uint8(lv), child}] = n
+		t.interior[nodeKey(uint8(lv), child)] = n
 		if t.level == scheme.TreeFull {
 			t.persistNode(uint8(lv), child)
 		}
@@ -197,7 +220,7 @@ func (t *Tree) Update(page uint64, line *[LineBytes]byte) {
 // pending there.
 func (t *Tree) persistNode(level uint8, index uint64) {
 	if t.coalesce {
-		k := nodeKey{level, index}
+		k := nodeKey(level, index)
 		slot := &t.wcb[(uint64(level)*0x9E3779B97F4A7C15+index)%wcbSlots]
 		if slot.valid && slot.key == k {
 			t.stats.Coalesced++
@@ -264,7 +287,7 @@ func (t *Tree) VerifyLeaf(page uint64, line *[LineBytes]byte) bool {
 		if lv == Depth {
 			want = Node{Version: t.rootVersion, Digest: t.rootDigest}
 		} else {
-			want = t.interior[nodeKey{uint8(lv), child}]
+			want = t.interior[nodeKey(uint8(lv), child)]
 		}
 		if n != want {
 			t.stats.Mismatches++
@@ -286,14 +309,10 @@ func (t *Tree) Recovered() (n *Tree, ok bool) {
 		return nil, true
 	}
 	n = New(t.kind, t.level, t.coalesce)
-	for k, v := range t.leaves {
-		n.leaves[k] = v
-	}
+	maps.Copy(n.leaves, t.leaves)
 	n.rootDigest, n.rootVersion = t.rootDigest, t.rootVersion
 	if t.level == scheme.TreeFull {
-		for k, v := range t.interior {
-			n.interior[k] = v
-		}
+		maps.Copy(n.interior, t.interior)
 		// The persisted interior is trusted lazily (verified on use);
 		// recovery only recomputes the root from its children and
 		// checks the register.
@@ -310,7 +329,7 @@ func (t *Tree) Recovered() (n *Tree, ok bool) {
 	for lv := 1; lv < Depth; lv++ {
 		next := make(map[uint64]bool, len(level))
 		for idx := range level {
-			n.interior[nodeKey{uint8(lv), idx}] = n.computeInterior(uint8(lv), idx)
+			n.interior[nodeKey(uint8(lv), idx)] = n.computeInterior(uint8(lv), idx)
 			n.stats.RecoveryHashes++
 			next[idx>>3] = true
 		}

@@ -210,6 +210,39 @@ func TestRecovered(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: a clone starts equal to its tree — persisted image,
+// root register, counters, write-combining buffer — and updates to
+// either side never reach the other.
+func TestCloneIsDeep(t *testing.T) {
+	for _, d := range designs {
+		t.Run(d.name, func(t *testing.T) {
+			tr := New(d.kind, d.level, d.coalesce)
+			for page := uint64(0); page < 20; page++ {
+				l := lineWith(byte(page))
+				tr.Update(page*9, &l)
+			}
+			c := tr.Clone()
+			if !reflect.DeepEqual(c, tr) {
+				t.Fatal("clone differs from its tree")
+			}
+			before := tr.EncodeSnapshot()
+			l := lineWith(99)
+			c.Update(5, &l)
+			c.Update(1<<20, &l)
+			if !bytes.Equal(tr.EncodeSnapshot(), before) {
+				t.Fatal("updating the clone changed the original")
+			}
+			tr.Update(7, &l)
+			if !c.VerifyLeaf(5, &l) || c.VerifyLeaf(7, &l) {
+				t.Fatal("updating the original changed the clone")
+			}
+		})
+	}
+	if (*Tree)(nil).Clone() != nil {
+		t.Fatal("nil tree cloned to non-nil")
+	}
+}
+
 // TestRecoveredDetectsTamperedLeaves: corrupt the persisted leaf set
 // behind the tree's back; recovery must fail the on-chip root check.
 func TestRecoveredDetectsTamperedLeaves(t *testing.T) {

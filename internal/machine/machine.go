@@ -10,7 +10,9 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"supermem/internal/aes"
@@ -67,10 +69,12 @@ type Machine struct {
 	// rather than comparing mode IDs.
 	pol    scheme.ModeInfo
 	cipher *aes.Cipher
-	// pads memoizes one-time pads by (line, major, minor); shared with
-	// successors across Recover, since pads depend only on the key
-	// schedule (see padcache.go).
-	pads *padCache
+	// pads memoizes one-time pads by (line, major, minor). Pads depend
+	// only on the key schedule (see padcache.go), so a successor inherits
+	// its predecessor's cache across Recover and WithPadCache may hand
+	// in another; a fork (ForkAtPersists) carries none, so the goroutine
+	// that recovers it brings its own.
+	pads *PadCache
 
 	// nvmData holds persisted data lines: ciphertext under encrypted
 	// modes, plaintext under Unencrypted. Absent lines read as zero
@@ -103,6 +107,12 @@ type Machine struct {
 	persists int
 	crashAt  int // -1 = never
 	crashed  bool
+
+	// Forking (ForkAtPersists): at each absolute persist index in
+	// forkAt, from forkNext on, stepPersist hands forkFn a crashed copy.
+	forkAt   []int
+	forkNext int
+	forkFn   func(i int, fork *Machine)
 
 	// rec, when non-nil, records persist instants and RSR spans. The
 	// machine has no cycle clock, so its trace timeline is the persist
@@ -163,6 +173,15 @@ func WithRecoveryBound(n int) Option {
 	return func(m *Machine) { m.recoveryBound = n }
 }
 
+// WithPadCache makes the machine use pc, a pad cache built for the same
+// key (NewPadCache), instead of a fresh one (New) or its predecessor's
+// (Recover). Pads are a pure function of key, line and counter, so the
+// choice changes no byte. pc takes no lock: every machine sharing it
+// must run on one goroutine at a time.
+func WithPadCache(pc *PadCache) Option {
+	return func(m *Machine) { m.pads = pc }
+}
+
 // New builds a machine. The key seeds the AES engine; any 16 bytes. The
 // mode must be registered in internal/scheme.
 func New(mode Mode, key []byte, opts ...Option) (*Machine, error) {
@@ -181,7 +200,6 @@ func New(mode Mode, key []byte, opts ...Option) (*Machine, error) {
 		mode:     mode,
 		pol:      pol,
 		cipher:   cipher,
-		pads:     newPadCache(cipher, 0),
 		nvmData:  make(map[uint64]line),
 		nvmCtr:   make(map[uint64]ctr.Line),
 		nvmTag:   make(map[uint64]uint32),
@@ -191,10 +209,21 @@ func New(mode Mode, key []byte, opts ...Option) (*Machine, error) {
 		crashAt:  -1,
 	}
 	m.tree = newTree(pol)
+	m.apply(opts)
+	return m, nil
+}
+
+// apply runs a machine's build options, then gives it a fresh pad
+// cache unless it got or inherited one.
+func (m *Machine) apply(opts []Option) {
 	for _, o := range opts {
 		o(m)
 	}
-	return m, nil
+	if m.pads == nil {
+		m.pads = newPadCache(m.cipher, 0)
+	} else if m.pads.cipher != m.cipher {
+		panic("machine: pad cache built for another key")
+	}
 }
 
 // SetRecorder attaches an observability recorder (nil disables).
@@ -237,8 +266,72 @@ func (m *Machine) Persists() int { return m.persists }
 // writes that should not count toward the crash sweep.
 func (m *Machine) ArmCrashAtPersist(n int) { m.crashAt = m.persists + n }
 
+// ForkAtPersists arranges for fn to receive, at each of the given
+// persistence micro-steps from now (0 = the very next persist; points
+// non-decreasing), a copy of the machine as a crash armed there would
+// leave it, while the machine itself runs on: i indexes points. fn runs
+// on the machine's goroutine before the step proceeds, and the copy
+// shares no mutable state with the machine, so it may move to another
+// goroutine. Forks carry no recorder and no pad cache (Recover gives
+// the successor a fresh one unless WithPadCache supplies it). Forking
+// is refused while a fault injector is attached: its schedule is one
+// mutable clock, which a copy cannot fork.
+func (m *Machine) ForkAtPersists(points []int, fn func(i int, fork *Machine)) error {
+	if m.inj != nil {
+		return errors.New("machine: cannot fork with a fault injector attached")
+	}
+	at := make([]int, len(points))
+	for i, p := range points {
+		if p < 0 || (i > 0 && p < points[i-1]) {
+			return fmt.Errorf("machine: fork points must be non-negative and non-decreasing, got %v", points)
+		}
+		at[i] = m.persists + p
+	}
+	m.forkAt, m.forkNext, m.forkFn = at, 0, fn
+	return nil
+}
+
+// crashedCopy is the machine a crash at this persist would leave, as
+// far as Recover reads it: deep copies of the persistent domain (NVM
+// data, counter and tag maps, the integrity tree), the ADR-held RSR,
+// and the dirty set with its counter-cache lines, which a battery
+// flush persists. The volatile rest — the CPU cache and clean
+// counter-cache lines — is lost in a crash anyway and is not copied.
+func (m *Machine) crashedCopy() *Machine {
+	c := &Machine{
+		mode:              m.mode,
+		pol:               m.pol,
+		cipher:            m.cipher,
+		nvmData:           maps.Clone(m.nvmData),
+		nvmCtr:            maps.Clone(m.nvmCtr),
+		nvmTag:            maps.Clone(m.nvmTag),
+		osirisProbes:      m.osirisProbes,
+		ctrCache:          ctr.NewStore(),
+		ctrDirty:          maps.Clone(m.ctrDirty),
+		persists:          m.persists,
+		crashAt:           m.persists,
+		crashed:           true,
+		tree:              m.tree.Clone(),
+		treeVerifyOff:     m.treeVerifyOff,
+		recoveryBound:     m.recoveryBound,
+		recoveryUsed:      m.recoveryUsed,
+		boundedRecoveries: m.boundedRecoveries,
+	}
+	for page := range m.ctrDirty {
+		if l, ok := m.ctrCache.Peek(page); ok {
+			c.ctrCache.Set(page, l)
+		}
+	}
+	if m.rsr != nil {
+		rsr := *m.rsr
+		c.rsr = &rsr
+	}
+	return c
+}
+
 // stepPersist consumes one persistence micro-step, crashing if the
-// injection point has arrived. It reports whether the step may proceed.
+// injection point has arrived, after handing out any fork due here. It
+// reports whether the step may proceed.
 func (m *Machine) stepPersist() bool {
 	if m.crashed {
 		return false
@@ -253,6 +346,10 @@ func (m *Machine) stepPersist() bool {
 		m.crashed = true
 		m.rec.Instant(obs.TrackMachine, "crash", uint64(m.persists))
 		return false
+	}
+	for m.forkNext < len(m.forkAt) && m.forkAt[m.forkNext] == m.persists {
+		m.forkFn(m.forkNext, m.crashedCopy())
+		m.forkNext++
 	}
 	m.rec.Instant(obs.TrackMachine, "persist", uint64(m.persists))
 	m.persists++
@@ -512,9 +609,9 @@ func (m *Machine) Recover(opts ...Option) *Machine {
 		pol:      m.pol,
 		cipher:   m.cipher,
 		pads:     m.pads, // pads are key-pure; successors reuse the warm cache
-		nvmData:  make(map[uint64]line, len(m.nvmData)),
-		nvmCtr:   make(map[uint64]ctr.Line, len(m.nvmCtr)),
-		nvmTag:   make(map[uint64]uint32, len(m.nvmTag)),
+		nvmData:  maps.Clone(m.nvmData),
+		nvmCtr:   maps.Clone(m.nvmCtr),
+		nvmTag:   maps.Clone(m.nvmTag),
 		cpuCache: make(map[uint64]line),
 		ctrCache: ctr.NewStore(),
 		ctrDirty: make(map[uint64]bool),
@@ -523,19 +620,8 @@ func (m *Machine) Recover(opts ...Option) *Machine {
 	n.rec = m.rec
 	n.inj = m.inj
 	n.recoveryBound = m.recoveryBound
-	for _, o := range opts {
-		o(n)
-	}
+	n.apply(opts)
 	n.rec.Instant(obs.TrackMachine, "recover", uint64(m.persists))
-	for a, l := range m.nvmData {
-		n.nvmData[a] = l
-	}
-	for p, l := range m.nvmCtr {
-		n.nvmCtr[p] = l
-	}
-	for a, t := range m.nvmTag {
-		n.nvmTag[a] = t
-	}
 	n.treeVerifyOff = m.treeVerifyOff
 	// Rebuild the successor's tree from the persisted image before any
 	// recovery work persists counters through it (battery flush, RSR
