@@ -61,6 +61,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -80,7 +81,7 @@ type artifact struct {
 
 // run parses args, runs every experiment of exps that -exp selects, and
 // returns the process exit code.
-func run(exps []bench.Experiment, args []string) int {
+func run(exps []bench.Experiment, args []string) (code int) {
 	fs := flag.NewFlagSet("supermem-bench", flag.ContinueOnError)
 	var (
 		exp          = fs.String("exp", "all", "experiment: a name, a group (the part of a name before \"/\"), or all; names: "+strings.Join(names(exps), ", "))
@@ -99,6 +100,8 @@ func run(exps []bench.Experiment, args []string) int {
 		obsWindow    = fs.Uint64("obs-window", 0, "observability series window in cycles (0 = default 4096)")
 		perfAppend   = fs.String("perf-append", "", "append this run's per-experiment wall times to the given perf-trajectory JSON file (e.g. BENCH_perf.json)")
 		perfLabel    = fs.String("perf-label", "", "free-form label recorded with -perf-append (e.g. a commit subject)")
+		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof; read with go tool pprof)")
+		memProfile   = fs.String("memprofile", "", "write a heap profile to this file at the end of the run (runtime/pprof; allocation totals included)")
 
 		coreModel = fs.String("core", "", "core timing model for every experiment: inorder (default) or ooo")
 		oooWidth  = fs.Int("ooo-width", 0, "OoO issue-window width (0 = default 4; requires -core ooo)")
@@ -149,6 +152,18 @@ func run(exps []bench.Experiment, args []string) int {
 		fmt.Fprintf(os.Stderr, "supermem-bench: %v\n", err)
 		return 2
 	}
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "supermem-bench: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "supermem-bench: %v\n", err)
+			code = max(code, 1)
+		}
+	}()
 
 	var walls []perfExperiment
 	for _, e := range selected {
@@ -232,6 +247,44 @@ func run(exps []bench.Experiment, args []string) int {
 		}
 	}
 	return 0
+}
+
+// startProfiles opens the -cpuprofile and -memprofile files (either
+// may be "" for none) and starts the CPU profile. The returned stop
+// ends the CPU profile and writes the heap profile after a collection,
+// so its in-use figures are the live heap at the end of the run.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			return nil, err
+		}
+	}
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err == nil {
+			if err = pprof.StartCPUProfile(cpu); err != nil {
+				cpu.Close()
+			}
+		}
+		if err != nil {
+			if mem != nil {
+				mem.Close()
+			}
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if mem != nil {
+			runtime.GC()
+			errs = append(errs, pprof.WriteHeapProfile(mem), mem.Close())
+		}
+		return errors.Join(errs...)
+	}, nil
 }
 
 // names lists the registry's experiment names in order.

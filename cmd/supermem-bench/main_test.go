@@ -240,6 +240,25 @@ func TestUnwritableArtifactFails(t *testing.T) {
 	}
 }
 
+// TestProfileFlags: -cpuprofile and -memprofile each write a non-empty
+// pprof file, and a profile path that cannot be created fails the run
+// before any experiment starts.
+func TestProfileFlags(t *testing.T) {
+	t.Chdir(t.TempDir())
+	args := []string{"-exp", "table1", "-cpuprofile", "cpu.prof", "-memprofile", "mem.prof"}
+	if code := run(bench.Experiments(), args); code != 0 {
+		t.Fatalf("exit code %d, want 0", code)
+	}
+	for _, f := range []string{"cpu.prof", "mem.prof"} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", f, err)
+		}
+	}
+	if code := run(bench.Experiments(), []string{"-exp", "table1", "-cpuprofile", "missing/cpu.prof"}); code != 1 {
+		t.Errorf("unwritable -cpuprofile: exit code %d, want 1", code)
+	}
+}
+
 // TestCrashHistograms: under -hist the crash experiment observes one
 // reference run per swept workload, and the artifact's histograms block
 // holds one "<workload>/SuperMem" cell for each.
