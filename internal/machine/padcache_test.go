@@ -106,6 +106,62 @@ func TestPrecomputePageWarmsWindow(t *testing.T) {
 	}
 }
 
+// TestPadCacheGrows: a default cache starts at padCacheStart slots and
+// doubles once its misses outnumber its slots, up to padCacheSlots,
+// keeping its resident pads and serving exact ones throughout; a shared
+// cache (NewPadCache) and a re-encryption storm (precomputePage) get the
+// full size at once.
+func TestPadCacheGrows(t *testing.T) {
+	cipher := testCipher(t)
+	pc := newPadCache(cipher, 0)
+	addr := func(i int) uint64 { return uint64(i) * config.LineSize }
+	for i := 0; i < padCacheStart; i++ {
+		pc.otp(addr(i), 1, 1)
+	}
+	if len(pc.slots) != padCacheStart {
+		t.Fatalf("%d slots after %d misses, want %d", len(pc.slots), padCacheStart, padCacheStart)
+	}
+	pc.otp(addr(padCacheStart), 1, 1) // the miss that outnumbers the slots
+	if len(pc.slots) != 2*padCacheStart {
+		t.Fatalf("grew to %d slots, want %d", len(pc.slots), 2*padCacheStart)
+	}
+	// Rehashing keeps every resident pad.
+	var resident []padKey
+	for _, s := range pc.slots {
+		if s.valid {
+			resident = append(resident, s.key)
+		}
+	}
+	pc.resize(2 * len(pc.slots))
+	h0 := pc.hits
+	for _, k := range resident {
+		if pc.otp(k.line, k.major, k.minor) != ctr.OTP(cipher, k.line, k.major, k.minor) {
+			t.Fatal("a rehashed pad diverges from direct OTP")
+		}
+	}
+	if got := pc.hits - h0; got != uint64(len(resident)) {
+		t.Fatalf("%d of %d resident pads hit after a resize", got, len(resident))
+	}
+	for i := padCacheStart + 1; i < 2*padCacheSlots; i++ {
+		if pc.otp(addr(i), 1, 1) != ctr.OTP(cipher, addr(i), 1, 1) {
+			t.Fatalf("pad %d diverges from direct OTP", i)
+		}
+	}
+	if len(pc.slots) != padCacheSlots {
+		t.Fatalf("cache grew to %d slots, want %d", len(pc.slots), padCacheSlots)
+	}
+
+	shared, err := NewPadCache([]byte("supermem-padkey!"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm := newPadCache(cipher, 0)
+	storm.precomputePage(0, 1, 0)
+	if len(shared.slots) != padCacheSlots || len(storm.slots) != padCacheSlots {
+		t.Fatalf("shared cache %d slots, after precomputePage %d, want %d", len(shared.slots), len(storm.slots), padCacheSlots)
+	}
+}
+
 // TestMachinePadCacheEndToEnd drives a line through enough flushes to
 // force a real page re-encryption, then crashes and recovers, checking
 // the plaintext survives every counter transition with the pad cache in
