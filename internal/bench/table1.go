@@ -47,13 +47,15 @@ const (
 )
 
 // table1Run executes setup + the transaction under test on a fresh
-// machine, optionally crashing at the given persist step (-1 = never).
-// It returns the machine and the stage boundaries (persist counts at
-// each stage start, measured relative to the armed point).
-func table1Run(mode machine.Mode, crashAt int, old, new []byte) (*machine.Machine, []int, error) {
+// machine, handing fn a fork at each of the points (persist steps of
+// the transaction under test; see machine.ForkAtPersists). It returns
+// the transaction's persist count and its stage boundaries (persist
+// counts at each stage start), both counted from the transaction's
+// start.
+func table1Run(mode machine.Mode, old, new []byte, points []int, fn func(i int, fork *machine.Machine)) (int, []int, error) {
 	m, err := machine.New(mode, []byte("table1-table1-.."))
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	tm := pmem.NewTxManager(m, t1LogBase, t1LogSize)
 	// Setup: commit the old value, then persist its counters (as the
@@ -62,27 +64,22 @@ func table1Run(mode machine.Mode, crashAt int, old, new []byte) (*machine.Machin
 	tx := tm.Begin()
 	tx.Write(t1DataAddr, old)
 	if err := tx.Commit(); err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
 	m.FlushCounters()
 
+	base := m.Persists()
 	var boundaries []int
-	tm.StageHook = func(pmem.Stage) { boundaries = append(boundaries, m.Persists()) }
-	if crashAt >= 0 {
-		m.ArmCrashAtPersist(crashAt)
-	} else {
-		// Measure boundaries relative to this point for the sweep.
-		base := m.Persists()
-		defer func() {
-			for i := range boundaries {
-				boundaries[i] -= base
-			}
-		}()
+	tm.StageHook = func(pmem.Stage) { boundaries = append(boundaries, m.Persists()-base) }
+	if err := m.ForkAtPersists(points, fn); err != nil {
+		return 0, nil, err
 	}
 	tx = tm.Begin()
 	tx.Write(t1DataAddr, new)
-	tx.Commit() // a crash mid-commit surfaces as a no-op, not an error
-	return m, boundaries, nil
+	if err := tx.Commit(); err != nil {
+		return 0, nil, err
+	}
+	return m.Persists() - base, boundaries, nil
 }
 
 // classifyRecovery reboots the machine, runs log recovery, and reports
@@ -98,10 +95,10 @@ func classifyRecovery(m *machine.Machine, old, new []byte) bool {
 // and classifies recoverability per stage.
 func Table1() (*Table1Result, error) { return Table1Parallel(0) }
 
-// Table1Parallel is Table1 with an explicit worker count for the
-// crash-point sweep (<= 0 means GOMAXPROCS). Every crash point runs on
-// its own fresh machine, so the sweep parallelizes exactly like the
-// figure grids and the classification is order-independent.
+// Table1Parallel is Table1 with an explicit worker count for the modes
+// (<= 0 means GOMAXPROCS). Each mode takes a probe run, which counts the
+// transaction's persists and finds its stage boundaries, and one run
+// that forks at each of those persists and recovers every fork inline.
 func Table1Parallel(parallel int) (*Table1Result, error) {
 	old := make([]byte, t1Payload)
 	new := make([]byte, t1Payload)
@@ -109,54 +106,48 @@ func Table1Parallel(parallel int) (*Table1Result, error) {
 		old[i] = byte(i)
 		new[i] = byte(255 - i)
 	}
+	type modeResult struct {
+		points  int
+		stageOK map[pmem.Stage]bool
+	}
+	results := make([]modeResult, len(Table1Modes))
+	err := par.ForEachIndex(parallel, len(Table1Modes), func(k int) error {
+		mode := Table1Modes[k]
+		total, boundaries, err := table1Run(mode, old, new, nil, nil)
+		if err != nil {
+			return fmt.Errorf("table1 %v probe: %w", mode, err)
+		}
+		if len(boundaries) != 3 {
+			return fmt.Errorf("table1 %v: %d stage boundaries, want 3", mode, len(boundaries))
+		}
+		stageOK := map[pmem.Stage]bool{pmem.StagePrepare: true, pmem.StageMutate: true, pmem.StageCommit: true}
+		points := make([]int, total)
+		for i := range points {
+			points[i] = i
+		}
+		_, _, err = table1Run(mode, old, new, points, func(i int, fork *machine.Machine) {
+			if !classifyRecovery(fork, old, new) {
+				stageOK[stageOf(i, boundaries)] = false
+			}
+		})
+		if err != nil {
+			return fmt.Errorf("table1 %v: %w", mode, err)
+		}
+		results[k] = modeResult{total, stageOK}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &Table1Result{
 		Recoverable: make(map[machine.Mode]map[pmem.Stage]bool),
 		CrashPoints: make(map[machine.Mode]int),
 	}
-	for _, mode := range Table1Modes {
-		// Probe run: find the stage boundaries and total persist count
-		// of the transaction under test, relative to its start.
-		probe, boundaries, err := table1Run(mode, -1, old, new)
-		if err != nil {
-			return nil, fmt.Errorf("table1 %v probe: %w", mode, err)
-		}
-		if len(boundaries) != 3 {
-			return nil, fmt.Errorf("table1 %v: %d stage boundaries, want 3", mode, len(boundaries))
-		}
-		relTotal := probe.Persists() - setupPersists(mode, old)
-		res.CrashPoints[mode] = relTotal
-		stageOK := map[pmem.Stage]bool{pmem.StagePrepare: true, pmem.StageMutate: true, pmem.StageCommit: true}
-		recovered := make([]bool, relTotal)
-		err = par.ForEachIndex(parallel, relTotal, func(crashAt int) error {
-			m, _, err := table1Run(mode, crashAt, old, new)
-			if err != nil {
-				return fmt.Errorf("table1 %v crash@%d: %w", mode, crashAt, err)
-			}
-			recovered[crashAt] = classifyRecovery(m, old, new)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for crashAt, ok := range recovered {
-			if !ok {
-				stageOK[stageOf(crashAt, boundaries)] = false
-			}
-		}
-		res.Recoverable[mode] = stageOK
+	for k, mode := range Table1Modes {
+		res.CrashPoints[mode] = results[k].points
+		res.Recoverable[mode] = results[k].stageOK
 	}
 	return res, nil
-}
-
-// setupPersists counts the persist steps of the setup transaction alone.
-func setupPersists(mode machine.Mode, old []byte) int {
-	m, _ := machine.New(mode, []byte("table1-table1-.."))
-	tm := pmem.NewTxManager(m, t1LogBase, t1LogSize)
-	tx := tm.Begin()
-	tx.Write(t1DataAddr, old)
-	tx.Commit()
-	m.FlushCounters()
-	return m.Persists()
 }
 
 // stageOf maps a relative crash point to its transaction stage using the

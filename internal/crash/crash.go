@@ -10,7 +10,6 @@ package crash
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"supermem/internal/alloc"
@@ -143,9 +142,9 @@ type Result struct {
 }
 
 // newMachine builds the machine runToCrash and forkRun run on: p's
-// mode, key and recovery bound, then opts.
-func newMachine(p Params, opts ...machine.Option) (*machine.Machine, error) {
-	return machine.New(p.Mode, p.Key, append([]machine.Option{machine.WithRecoveryBound(p.RecoveryBound)}, opts...)...)
+// mode, key and recovery bound.
+func newMachine(p Params) (*machine.Machine, error) {
+	return machine.New(p.Mode, p.Key, machine.WithRecoveryBound(p.RecoveryBound))
 }
 
 // runToCrash executes the workload with a crash armed at the given
@@ -193,32 +192,25 @@ func runToCrash(p Params, crashAt int, inj *fault.Injector) (*machine.Machine, w
 	return m, w, completed, nil
 }
 
-// A fork is the machine a crash armed at points[i] would leave, as
-// forkRun hands it out: with the transactions completed before the
-// point, and the pad cache of the goroutine that receives it.
+// A fork is the machine a crash armed at points[i] would leave, with
+// the transactions completed before the point.
 type fork struct {
 	i         int
 	m         *machine.Machine
 	completed int
-	pads      *machine.PadCache
 }
 
 // forkRun runs the workload crash-free once, on a machine built exactly
 // as runToCrash builds one, and hands check a fork at each of the
 // non-decreasing points (persist indexes counted from the end of setup)
-// that the run reaches. check runs across the given workers (<= 0 means
-// GOMAXPROCS), each recovering on a lock-free pad cache of its own;
-// with one worker it runs inline, paused inside the run's persist, on
-// the run's cache. No cache outlives the call. On failure the lowest
-// failing point's error is returned, as par.ForEachIndex does. There is
-// no fault-injected form: an injector's schedule cannot be forked (see
-// machine.ForkAtPersists).
-func forkRun(p Params, points []int, workers int, check func(f fork) error) error {
-	pads, err := machine.NewPadCache(p.Key)
-	if err != nil {
-		return err
-	}
-	m, err := newMachine(p, machine.WithPadCache(pads))
+// that the run reaches. check runs inline, with the run paused inside
+// the persist it forked at. A fork shares the run's pad cache, so it is
+// recovered there or after forkRun returns, on the same goroutine. The
+// first failing check stops the run, and its error is returned. There
+// is no fault-injected form: an injector's schedule cannot be forked
+// (see machine.ForkAtPersists).
+func forkRun(p Params, points []int, check func(f fork) error) error {
+	m, err := newMachine(p)
 	if err != nil {
 		return err
 	}
@@ -226,62 +218,24 @@ func forkRun(p Params, points []int, workers int, check func(f fork) error) erro
 	if err != nil {
 		return err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(points))
-	errs := make([]error, len(points))
 	completed := 0
-	hand := func(i int, fm *machine.Machine) {
-		errs[i] = check(fork{i: i, m: fm, completed: completed, pads: pads})
-	}
-	var wg sync.WaitGroup
-	var forks chan fork
-	if workers > 1 {
-		wpads := make([]*machine.PadCache, workers)
-		for k := range wpads {
-			if wpads[k], err = machine.NewPadCache(p.Key); err != nil {
-				return err
-			}
+	var checkErr error
+	err = m.ForkAtPersists(points, func(i int, fm *machine.Machine) {
+		if checkErr == nil {
+			checkErr = check(fork{i: i, m: fm, completed: completed})
 		}
-		// One queued fork per worker keeps each busy while the run makes
-		// the next, and bounds the forks alive at once.
-		forks = make(chan fork, workers)
-		for _, pc := range wpads {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for f := range forks {
-					f.pads = pc
-					errs[f.i] = check(f)
-				}
-			}()
-		}
-		hand = func(i int, fm *machine.Machine) {
-			forks <- fork{i: i, m: fm, completed: completed}
-		}
-	}
-	err = m.ForkAtPersists(points, hand)
-	for i := 0; i < p.Steps && err == nil; i++ {
+	})
+	for i := 0; i < p.Steps && err == nil && checkErr == nil; i++ {
 		if err = w.Step(tm); err != nil {
 			err = fmt.Errorf("crash: step %d: %w", i, err)
 		} else {
 			completed++
 		}
 	}
-	if forks != nil {
-		close(forks)
-		wg.Wait()
-	}
 	if err != nil {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return checkErr
 }
 
 // stepFailure marks a workload step broken by injected corruption on a
@@ -358,12 +312,12 @@ func runAndRecover(p Params, crashAt, recoveryCrashAt int, inj *fault.Injector) 
 
 // recoverAndCheck is the post-crash half of a crash experiment: it
 // recovers the machine runToCrash left, or a fork of one run (with a
-// nested crash armed at recoveryCrashAt when non-negative, and opts
-// passed to the first Recover), runs the redo log, and checks the
-// result against the replays. A crashed machine's verdict reads only
-// the machine and completed, never w. Machine.Recover only reads its
-// predecessor, so one crashed machine can serve any number of calls.
-func recoverAndCheck(p Params, m *machine.Machine, w workload.Workload, completed, crashAt, recoveryCrashAt int, replays *replayMemo, opts ...machine.Option) (Result, *machine.Machine, error) {
+// nested crash armed at recoveryCrashAt when non-negative), runs the
+// redo log, and checks the result against the replays. A crashed
+// machine's verdict reads only the machine and completed, never w.
+// Machine.Recover only reads its predecessor, so one crashed machine
+// can serve any number of calls.
+func recoverAndCheck(p Params, m *machine.Machine, w workload.Workload, completed, crashAt, recoveryCrashAt int, replays *replayMemo) (Result, *machine.Machine, error) {
 	res := Result{CrashStep: crashAt, RecoveryCrashStep: -1, CompletedSteps: completed, Crashed: m.Crashed()}
 	if !m.Crashed() {
 		// The run finished before the injection point; verify in place.
@@ -377,7 +331,7 @@ func recoverAndCheck(p Params, m *machine.Machine, w workload.Workload, complete
 	}
 
 	// A negative recoveryCrashAt leaves the nested crash unarmed.
-	r, _, _ := recoverDrained(m, append([]machine.Option{machine.WithCrashAtPersist(recoveryCrashAt)}, opts...)...)
+	r, _, _ := recoverDrained(m, machine.WithCrashAtPersist(recoveryCrashAt))
 	if r.Crashed() {
 		// The nested failure hit mid-recovery; power-cycle again. The
 		// second recovery runs to completion, and consistency is judged
@@ -427,7 +381,8 @@ func replay(p Params, n int) (workload.Workload, *pmem.TracingBackend, error) {
 
 // replayMemo memoizes replay by step count, one slot per n in
 // 0..Steps+1, each built on first use; Verify only reads the workload,
-// so every crash point and worker can check against the same replay.
+// so every crash point, and every mode fuzzed at once, can check
+// against the same replay.
 // The mode is not part of the key: build only looks at the backend's
 // type, and replays run on a TracingBackend, so all modes share one
 // memo. Only the workload is kept: TracingBackend.Load grows the
@@ -495,7 +450,7 @@ func (s SweepResult) String() string {
 // every stride-th step, always including the final persist index even
 // when the stride does not divide the persist count (so last-window
 // crash points are never skipped). Stride 1 sweeps every persistence
-// step.
+// step. Every point is forked from one crash-free run (forkRun).
 func Sweep(p Params, stride int) (SweepResult, error) {
 	p = p.withDefaults()
 	if stride < 1 {
@@ -505,9 +460,17 @@ func Sweep(p Params, stride int) (SweepResult, error) {
 	if err != nil {
 		return SweepResult{}, err
 	}
-	out := SweepResult{Params: p, TotalPoints: 0}
-	test := func(crashAt int) error {
-		res, err := Run(p, crashAt)
+	var points []int
+	for crashAt := 0; crashAt < total; crashAt += stride {
+		points = append(points, crashAt)
+	}
+	if total > 0 && (total-1)%stride != 0 {
+		points = append(points, total-1)
+	}
+	out := SweepResult{Params: p}
+	replays := newReplayMemo(p)
+	err = forkRun(p, points, func(f fork) error {
+		res, _, err := recoverAndCheck(p, f.m, nil, f.completed, points[f.i], -1, replays)
 		if err != nil {
 			return err
 		}
@@ -519,16 +482,9 @@ func Sweep(p Params, stride int) (SweepResult, error) {
 			out.Inconsistent = append(out.Inconsistent, res)
 		}
 		return nil
-	}
-	for crashAt := 0; crashAt < total; crashAt += stride {
-		if err := test(crashAt); err != nil {
-			return SweepResult{}, err
-		}
-	}
-	if total > 0 && (total-1)%stride != 0 {
-		if err := test(total - 1); err != nil {
-			return SweepResult{}, err
-		}
+	})
+	if err != nil {
+		return SweepResult{}, err
 	}
 	return out, nil
 }

@@ -38,8 +38,8 @@ func RecoveryCost(p Params, crashAt int) (int, error) {
 // instead of one run per point. A point beyond the run costs zero.
 func RecoveryCosts(p Params, points []int) ([]int, error) {
 	costs := make([]int, len(points))
-	err := forkRun(p.withDefaults(), points, 1, func(f fork) error {
-		r, _, _ := recoverDrained(f.m, machine.WithPadCache(f.pads))
+	err := forkRun(p.withDefaults(), points, func(f fork) error {
+		r, _, _ := recoverDrained(f.m)
 		costs[f.i] = r.Persists()
 		return nil
 	})

@@ -44,8 +44,8 @@ func successorOf(r *machine.Machine) successor {
 // recoverNested recovers m with a nested crash armed at rec (negative:
 // none) and, when it strikes, recovers again, as recoverAndCheck does.
 // It returns the first successor's state and the final one's.
-func recoverNested(m *machine.Machine, rec int, pads *machine.PadCache) (first, final successor) {
-	r, _, _ := recoverDrained(m, machine.WithPadCache(pads), machine.WithCrashAtPersist(rec))
+func recoverNested(m *machine.Machine, rec int) (first, final successor) {
+	r, _, _ := recoverDrained(m, machine.WithCrashAtPersist(rec))
 	first = successorOf(r)
 	if r.Crashed() {
 		r, _, _ = recoverDrained(r)
@@ -58,10 +58,10 @@ func recoverNested(m *machine.Machine, rec int, pads *machine.PadCache) (first, 
 // and recovering either — plainly, or with a nested crash at the first
 // recovery persist or mid-recovery — leaves the same successor. The
 // counter hammer adds forks taken mid page re-encryption, with the RSR
-// armed. Each fork is recovered twice: on its worker while the run it
-// came from goes on (two workers, so the race detector sees any state
-// the two share), and again after the run has finished, when any shared
-// state the run went on mutating shows as a different successor.
+// armed. Each fork is recovered twice: inside the run, paused at the
+// fork's persist, and again after the run has finished, when any state
+// the fork shares with the run (beyond the key-pure pad cache) that the
+// run went on mutating shows as a different successor.
 func TestForkedCrashMatchesRunToCrash(t *testing.T) {
 	cases := map[string]Params{
 		"ctrhammer": {Workload: "ctrhammer", Steps: 1, Attack: workload.AttackConfig{HotPages: 2}},
@@ -73,10 +73,6 @@ func TestForkedCrashMatchesRunToCrash(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			base = base.withDefaults()
-			pads, err := machine.NewPadCache(base.Key)
-			if err != nil {
-				t.Fatal(err)
-			}
 			nestedStruck := 0
 			for _, mode := range AllModes {
 				p := base
@@ -91,8 +87,8 @@ func TestForkedCrashMatchesRunToCrash(t *testing.T) {
 				}
 				forks := make([]fork, total)
 				during := make([]successor, total)
-				err = forkRun(p, points, 2, func(f fork) error {
-					_, during[f.i] = recoverNested(f.m, -1, f.pads)
+				err = forkRun(p, points, func(f fork) error {
+					_, during[f.i] = recoverNested(f.m, -1)
 					forks[f.i] = f
 					return nil
 				})
@@ -115,13 +111,13 @@ func TestForkedCrashMatchesRunToCrash(t *testing.T) {
 						t.Fatalf("%s: fork crashed=%v persists=%d completed=%d, runToCrash crashed=%v persists=%d completed=%d",
 							where, f.m.Crashed(), f.m.Persists(), f.completed, m.Crashed(), m.Persists(), completed)
 					}
-					_, plain := recoverNested(m, -1, pads)
+					_, plain := recoverNested(m, -1)
 					if !reflect.DeepEqual(during[f.i], plain) {
 						t.Fatalf("%s: fork recovered during the run\n%+v\nrunToCrash successor\n%+v", where, during[f.i], plain)
 					}
 					for _, rec := range []int{-1, 0, plain.Persists / 2} {
-						wantFirst, want := recoverNested(m, rec, pads)
-						gotFirst, got := recoverNested(f.m, rec, pads)
+						wantFirst, want := recoverNested(m, rec)
+						gotFirst, got := recoverNested(f.m, rec)
 						if !reflect.DeepEqual(gotFirst, wantFirst) || !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s recovery@%d: forked successor\n%+v\nrunToCrash successor\n%+v", where, rec, got, want)
 						}

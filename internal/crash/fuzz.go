@@ -10,6 +10,7 @@ import (
 	"supermem/internal/config"
 	"supermem/internal/ctr"
 	"supermem/internal/machine"
+	"supermem/internal/par"
 	"supermem/internal/pmem"
 	"supermem/internal/scheme"
 	"supermem/internal/workload"
@@ -61,19 +62,21 @@ type FuzzParams struct {
 	// MaxPoints caps the crash points tested per mode; <= 0 or at
 	// least the persist count means exhaustive. When sampling, points
 	// near the prepare/mutate/commit stage starts are weighted higher
-	// (Table 1's windows) and the first and last persist index are
-	// always included.
+	// (Table 1's windows), the first persist index is always included
+	// and, at a cap of two or more, the last.
 	MaxPoints int
 	// Nested also crashes at persistence micro-steps of the recovery
 	// path after each outer crash: finishing the RSR re-encryption and
 	// reapplying the redo log.
 	Nested bool
 	// MaxNested caps the nested points per outer crash point (<= 0
-	// means 3); the first and last recovery persist are always
-	// included when sampled.
+	// means 3); when sampled, the first recovery persist is always
+	// included and, at a cap of two or more, the last.
 	MaxNested int
-	// Parallel is the worker count (<= 0 means GOMAXPROCS). Results
-	// are identical at any setting, so it is left out of their JSON.
+	// Parallel is how many modes are fuzzed at once (<= 0 means
+	// GOMAXPROCS); each mode's points run inline on its own goroutine.
+	// Results are identical at any setting, so it is left out of their
+	// JSON.
 	Parallel int `json:"-"`
 	// Modes overrides the machine designs swept (default AllModes).
 	Modes []machine.Mode
@@ -257,35 +260,34 @@ func (r *FuzzResult) String() string {
 
 // Fuzz runs the differential sweep: every sampled crash point (and,
 // when Nested, every sampled recovery crash point beneath it) across
-// every mode, in parallel, with deterministic results for a fixed
-// SampleSeed at any Parallel value.
+// every mode, with the modes fuzzed in parallel and deterministic
+// results for a fixed SampleSeed at any Parallel value. On failure the
+// lowest failing mode's error is returned.
 func Fuzz(fp FuzzParams) (*FuzzResult, error) {
 	fp = fp.withDefaults()
-	res := &FuzzResult{Params: fp}
 	// Replays do not depend on the mode (see replayMemo), so one memo,
-	// built from any mode's params, serves every mode and worker.
+	// built from any mode's params, serves every mode.
 	replays := newReplayMemo(fp.params(0))
-	for _, mode := range fp.Modes {
-		v, err := fuzzMode(fp, mode, replays)
+	verdicts := make([]ModeVerdict, len(fp.Modes))
+	err := par.ForEachIndex(fp.Parallel, len(fp.Modes), func(i int) error {
+		v, err := fuzzMode(fp, fp.Modes[i], replays)
 		if err != nil {
-			return nil, fmt.Errorf("crash: fuzz %v/%s: %w", mode, fp.Workload, err)
+			return fmt.Errorf("crash: fuzz %v/%s: %w", fp.Modes[i], fp.Workload, err)
 		}
-		res.Verdicts = append(res.Verdicts, v)
+		verdicts[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
-}
-
-// pointOutcome collects one outer crash point's results, slotted by
-// point index so aggregation is scheduling-independent.
-type pointOutcome struct {
-	outer  Result
-	nested []Result
+	return &FuzzResult{Params: fp, Verdicts: verdicts}, nil
 }
 
 // fuzzMode forks every sampled point from one crash-free run of the
 // mode (forkRun): the outer recovery and every nested one recover the
 // same fork, and the outer successor's persist count is the recovery
-// path's length that the nested points are sampled from.
+// path's length that the nested points are sampled from. forkRun checks
+// the points in order, so the verdict tallies them as they come.
 func fuzzMode(fp FuzzParams, mode machine.Mode, replays *replayMemo) (ModeVerdict, error) {
 	p := fp.params(mode)
 	total, stageStarts, err := persistProfile(p)
@@ -295,51 +297,42 @@ func fuzzMode(fp FuzzParams, mode machine.Mode, replays *replayMemo) (ModeVerdic
 	// persistProfile counted the points on the run forkRun repeats, so
 	// the run reaches every one.
 	points := samplePoints(total, stageStarts, fp.MaxPoints, fp.SampleSeed)
-	outcomes := make([]pointOutcome, len(points))
-	err = forkRun(p, points, fp.Parallel, func(f fork) error {
-		crashAt := points[f.i]
-		ownPads := machine.WithPadCache(f.pads)
-		outer, r, err := recoverAndCheck(p, f.m, nil, f.completed, crashAt, -1, replays, ownPads)
-		if err != nil {
-			return err
-		}
-		o := pointOutcome{outer: outer}
-		if fp.Nested {
-			for _, j := range sampleNested(r.Persists(), fp.MaxNested, fp.SampleSeed, crashAt) {
-				nres, _, err := recoverAndCheck(p, f.m, nil, f.completed, crashAt, j, replays, ownPads)
-				if err != nil {
-					return err
-				}
-				o.nested = append(o.nested, nres)
-			}
-		}
-		outcomes[f.i] = o
-		return nil
-	})
-	if err != nil {
-		return ModeVerdict{}, err
-	}
-
 	v := ModeVerdict{
 		Mode: mode, Name: mode.String(),
 		TotalPoints: total, Tested: len(points),
 		ExpectedOK: ExpectedConsistent(mode, fp.Workload),
 	}
-	for _, o := range outcomes {
-		if o.outer.Crashed {
+	tally := func(res Result) {
+		if !res.Consistent {
+			v.Inconsistent = append(v.Inconsistent, res)
+		}
+		v.RecoveryProbes += res.RecoveryProbes
+	}
+	err = forkRun(p, points, func(f fork) error {
+		crashAt := points[f.i]
+		outer, r, err := recoverAndCheck(p, f.m, nil, f.completed, crashAt, -1, replays)
+		if err != nil {
+			return err
+		}
+		if outer.Crashed {
 			v.Crashed++
 		}
-		if !o.outer.Consistent {
-			v.Inconsistent = append(v.Inconsistent, o.outer)
+		tally(outer)
+		if !fp.Nested {
+			return nil
 		}
-		v.RecoveryProbes += o.outer.RecoveryProbes
-		v.NestedTested += len(o.nested)
-		for _, nr := range o.nested {
-			if !nr.Consistent {
-				v.Inconsistent = append(v.Inconsistent, nr)
+		for _, j := range sampleNested(r.Persists(), fp.MaxNested, fp.SampleSeed, crashAt) {
+			nres, _, err := recoverAndCheck(p, f.m, nil, f.completed, crashAt, j, replays)
+			if err != nil {
+				return err
 			}
-			v.RecoveryProbes += nr.RecoveryProbes
+			v.NestedTested++
+			tally(nres)
 		}
+		return nil
+	})
+	if err != nil {
+		return ModeVerdict{}, err
 	}
 	if len(v.Inconsistent) > 0 {
 		sh, err := shrink(p, v.Inconsistent[0], replays)
@@ -355,8 +348,9 @@ func fuzzMode(fp FuzzParams, mode machine.Mode, replays *replayMemo) (ModeVerdic
 // budget covers the space; otherwise a seeded weighted sample without
 // replacement, biased toward the persist indexes at and around the
 // commit-stage starts (Table 1's prepare/mutate/commit windows, where
-// persistence bugs concentrate), always keeping the first and last
-// index. The returned slice is sorted.
+// persistence bugs concentrate), always keeping the first index and,
+// when the budget holds two or more, the last. The returned slice is
+// sorted.
 func samplePoints(total int, stageStarts []int, max int, seed int64) []int {
 	if total <= 0 {
 		return nil
@@ -385,7 +379,9 @@ func samplePoints(total int, stageStarts []int, max int, seed int64) []int {
 	}
 	chosen := make(map[int]bool, max)
 	chosen[0] = true
-	chosen[total-1] = true
+	if max > 1 {
+		chosen[total-1] = true
+	}
 	rng := rand.New(rand.NewSource(seed))
 	for len(chosen) < max {
 		sum := 0
@@ -415,8 +411,9 @@ func samplePoints(total int, stageStarts []int, max int, seed int64) []int {
 }
 
 // sampleNested picks the recovery persist steps to nest a crash into,
-// deterministically per (seed, outer point). A recovery that persists
-// nothing yields no nested points.
+// deterministically per (seed, outer point), keeping the first step
+// and, when the budget holds two or more, the last. A recovery that
+// persists nothing yields no nested points.
 func sampleNested(recoverySteps, max int, seed int64, crashAt int) []int {
 	if recoverySteps <= 0 {
 		return nil
@@ -428,7 +425,10 @@ func sampleNested(recoverySteps, max int, seed int64, crashAt int) []int {
 		}
 		return all
 	}
-	chosen := map[int]bool{0: true, recoverySteps - 1: true}
+	chosen := map[int]bool{0: true}
+	if max > 1 {
+		chosen[recoverySteps-1] = true
+	}
 	rng := rand.New(rand.NewSource(seed ^ (int64(crashAt)+1)*0x5E3779B97F4A7C15))
 	for len(chosen) < max {
 		chosen[rng.Intn(recoverySteps)] = true

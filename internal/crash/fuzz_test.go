@@ -1,8 +1,10 @@
 package crash
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"supermem/internal/machine"
@@ -57,6 +59,20 @@ func TestFuzzDeterministicAcrossParallel(t *testing.T) {
 	r1.Params.Parallel, r8.Params.Parallel = 0, 0
 	if !reflect.DeepEqual(r1, r8) {
 		t.Fatalf("parallel=1 and parallel=8 disagree:\n%s\nvs\n%s", r1, r8)
+	}
+}
+
+// Fuzz returns the lowest failing mode's error at any Parallel, as a
+// serial loop over the modes does: here the first of two unregistered
+// modes listed after a registered one.
+func TestFuzzReturnsLowestFailingMode(t *testing.T) {
+	a, b := machine.Mode(1000), machine.Mode(1001)
+	want := fmt.Sprintf("crash: fuzz %v/array: ", a)
+	for _, parallel := range []int{1, 8} {
+		_, err := Fuzz(FuzzParams{Workload: "array", Steps: 2, Modes: []machine.Mode{machine.WTRegister, a, b}, Parallel: parallel})
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("parallel=%d: error %v, want one starting %q", parallel, err, want)
+		}
 	}
 }
 
@@ -333,6 +349,24 @@ func TestSamplePointsBudgetAndEndpoints(t *testing.T) {
 	if reflect.DeepEqual(got, other) {
 		t.Fatal("different seeds sampled identical points (suspicious)")
 	}
+	// The endpoints never push a sample past its budget.
+	if got := samplePoints(1000, boundaries, 1, 7); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("budget 1 sampled %v, want [0]", got)
+	}
+	if got := samplePoints(1000, boundaries, 2, 7); !reflect.DeepEqual(got, []int{0, 999}) {
+		t.Fatalf("budget 2 sampled %v, want [0 999]", got)
+	}
+}
+
+// A budget of one tests one point end to end, outer and nested.
+func TestFuzzBudgetOfOne(t *testing.T) {
+	res, err := Fuzz(FuzzParams{Workload: "array", Steps: 3, MaxPoints: 1, Nested: true, MaxNested: 1, Modes: AllModes[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.Verdicts[0]; v.Tested != 1 || v.NestedTested > 1 {
+		t.Fatalf("%s: tested %d points and %d nested, want 1 and at most 1", v.Name, v.Tested, v.NestedTested)
+	}
 }
 
 // The sampler weights the Table 1 stage windows: points within ±3 of a
@@ -376,5 +410,8 @@ func TestSampleNestedDeterministicPerPoint(t *testing.T) {
 	}
 	if got := sampleNested(3, 5, 1, 42); len(got) != 3 {
 		t.Fatalf("small recovery space sampled %v, want all 3", got)
+	}
+	if got := sampleNested(100, 1, 1, 42); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("budget 1 sampled %v, want [0]", got)
 	}
 }

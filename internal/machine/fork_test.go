@@ -35,6 +35,9 @@ func TestForkMatchesCrashAtSamePersist(t *testing.T) {
 		if forked == nil || !forked.Crashed() || forked.Persists() != crashed.Persists() {
 			t.Fatalf("%v: fork %v, want a crashed copy at persist %d", mode, forked, crashed.Persists())
 		}
+		if forked.pads != driver.pads {
+			t.Fatalf("%v: the fork does not share its run's pad cache", mode)
+		}
 		got, want := forked.Recover(), crashed.Recover()
 		for a := uint64(0); a < 3*config.LineSize; a += config.LineSize {
 			if g, w := got.Load(a, config.LineSize), want.Load(a, config.LineSize); !bytes.Equal(g, w) {
@@ -58,18 +61,4 @@ func TestForkAtPersistsRefusals(t *testing.T) {
 	if err := m.ForkAtPersists([]int{0}, func(int, *Machine) {}); err == nil {
 		t.Error("ForkAtPersists accepted a machine with a fault injector")
 	}
-}
-
-// A pad cache built for one key must not serve a machine under another.
-func TestWithPadCacheRejectsOtherKey(t *testing.T) {
-	pc, err := NewPadCache([]byte("another-key-0123"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New accepted a pad cache built for another key")
-		}
-	}()
-	_, _ = New(WTRegister, testKey, WithPadCache(pc))
 }

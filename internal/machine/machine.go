@@ -71,10 +71,9 @@ type Machine struct {
 	cipher *aes.Cipher
 	// pads memoizes one-time pads by (line, major, minor). Pads depend
 	// only on the key schedule (see padcache.go), so a successor inherits
-	// its predecessor's cache across Recover and WithPadCache may hand
-	// in another; a fork (ForkAtPersists) carries none, so the goroutine
-	// that recovers it brings its own.
-	pads *PadCache
+	// its predecessor's cache across Recover, and a fork
+	// (ForkAtPersists) shares its run's.
+	pads *padCache
 
 	// nvmData holds persisted data lines: ciphertext under encrypted
 	// modes, plaintext under Unencrypted. Absent lines read as zero
@@ -173,15 +172,6 @@ func WithRecoveryBound(n int) Option {
 	return func(m *Machine) { m.recoveryBound = n }
 }
 
-// WithPadCache makes the machine use pc, a pad cache built for the same
-// key (NewPadCache), instead of a fresh one (New) or its predecessor's
-// (Recover). Pads are a pure function of key, line and counter, so the
-// choice changes no byte. pc takes no lock: every machine sharing it
-// must run on one goroutine at a time.
-func WithPadCache(pc *PadCache) Option {
-	return func(m *Machine) { m.pads = pc }
-}
-
 // New builds a machine. The key seeds the AES engine; any 16 bytes. The
 // mode must be registered in internal/scheme.
 func New(mode Mode, key []byte, opts ...Option) (*Machine, error) {
@@ -200,6 +190,7 @@ func New(mode Mode, key []byte, opts ...Option) (*Machine, error) {
 		mode:     mode,
 		pol:      pol,
 		cipher:   cipher,
+		pads:     newPadCache(cipher, 0),
 		nvmData:  make(map[uint64]line),
 		nvmCtr:   make(map[uint64]ctr.Line),
 		nvmTag:   make(map[uint64]uint32),
@@ -209,21 +200,10 @@ func New(mode Mode, key []byte, opts ...Option) (*Machine, error) {
 		crashAt:  -1,
 	}
 	m.tree = newTree(pol)
-	m.apply(opts)
-	return m, nil
-}
-
-// apply runs a machine's build options, then gives it a fresh pad
-// cache unless it got or inherited one.
-func (m *Machine) apply(opts []Option) {
 	for _, o := range opts {
 		o(m)
 	}
-	if m.pads == nil {
-		m.pads = newPadCache(m.cipher, 0)
-	} else if m.pads.cipher != m.cipher {
-		panic("machine: pad cache built for another key")
-	}
+	return m, nil
 }
 
 // SetRecorder attaches an observability recorder (nil disables).
@@ -270,12 +250,12 @@ func (m *Machine) ArmCrashAtPersist(n int) { m.crashAt = m.persists + n }
 // persistence micro-steps from now (0 = the very next persist; points
 // non-decreasing), a copy of the machine as a crash armed there would
 // leave it, while the machine itself runs on: i indexes points. fn runs
-// on the machine's goroutine before the step proceeds, and the copy
-// shares no mutable state with the machine, so it may move to another
-// goroutine. Forks carry no recorder and no pad cache (Recover gives
-// the successor a fresh one unless WithPadCache supplies it). Forking
-// is refused while a fault injector is attached: its schedule is one
-// mutable clock, which a copy cannot fork.
+// on the machine's goroutine before the step proceeds. The copy shares
+// one piece of mutable state with the machine, its pad cache, which
+// takes no lock: recover the fork (its successors inherit the cache) on
+// the machine's goroutine, inside fn or after the run. Forks carry no
+// recorder. Forking is refused while a fault injector is attached: its
+// schedule is one mutable clock, which a copy cannot fork.
 func (m *Machine) ForkAtPersists(points []int, fn func(i int, fork *Machine)) error {
 	if m.inj != nil {
 		return errors.New("machine: cannot fork with a fault injector attached")
@@ -297,11 +277,13 @@ func (m *Machine) ForkAtPersists(points []int, fn func(i int, fork *Machine)) er
 // and the dirty set with its counter-cache lines, which a battery
 // flush persists. The volatile rest — the CPU cache and clean
 // counter-cache lines — is lost in a crash anyway and is not copied.
+// The pad cache is shared, not copied: pads are key-pure.
 func (m *Machine) crashedCopy() *Machine {
 	c := &Machine{
 		mode:              m.mode,
 		pol:               m.pol,
 		cipher:            m.cipher,
+		pads:              m.pads,
 		nvmData:           maps.Clone(m.nvmData),
 		nvmCtr:            maps.Clone(m.nvmCtr),
 		nvmTag:            maps.Clone(m.nvmTag),
@@ -620,7 +602,9 @@ func (m *Machine) Recover(opts ...Option) *Machine {
 	n.rec = m.rec
 	n.inj = m.inj
 	n.recoveryBound = m.recoveryBound
-	n.apply(opts)
+	for _, o := range opts {
+		o(n)
+	}
 	n.rec.Instant(obs.TrackMachine, "recover", uint64(m.persists))
 	n.treeVerifyOff = m.treeVerifyOff
 	// Rebuild the successor's tree from the persisted image before any

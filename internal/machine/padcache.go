@@ -6,7 +6,7 @@ import (
 	"supermem/internal/ctr"
 )
 
-// PadCache memoizes one-time pads by (line address, major, minor). A
+// padCache memoizes one-time pads by (line address, major, minor). A
 // pad is a pure function of the key schedule and that triple (Figure 3:
 // OTP = AES(key, address, counter)), so caching is exact: a hit returns
 // byte-identical output to re-running the four AES blocks. The wins are
@@ -22,13 +22,11 @@ import (
 // for one crash run and compute a few hundred pads, and zeroing the
 // full array cost them more than its hits saved.
 //
-// Since pads depend on no volatile machine state, any machines under
-// one key may share a cache: a successor inherits its predecessor's
-// across Recover, and WithPadCache hands a machine one from elsewhere.
-// The cache takes no lock, so it belongs to one goroutine at a time:
-// the crash fuzzer gives each of its workers one of its own for the
-// length of a mode's sweep, not one per machine.
-type PadCache struct {
+// Since pads depend on no volatile machine state, the machines of one
+// run share a cache: a successor inherits its predecessor's across
+// Recover, and a fork (ForkAtPersists) its run's. The cache takes no
+// lock, so the machines sharing one run on one goroutine at a time.
+type padCache struct {
 	cipher *aes.Cipher
 	slots  []padSlot
 	mask   uint64
@@ -59,20 +57,9 @@ const (
 	padCacheStart = 256
 )
 
-// NewPadCache builds an empty pad cache for the given AES key, for
-// WithPadCache. A cache built to be shared serves many machines, so it
-// starts at full size.
-func NewPadCache(key []byte) (*PadCache, error) {
-	cipher, err := aes.Shared(key)
-	if err != nil {
-		return nil, err
-	}
-	return newPadCache(cipher, padCacheSlots), nil
-}
-
 // newPadCache builds a cache of a fixed power-of-two slot count, or a
 // growing default one when slots is 0.
-func newPadCache(cipher *aes.Cipher, slots int) *PadCache {
+func newPadCache(cipher *aes.Cipher, slots int) *padCache {
 	start := slots
 	if slots <= 0 {
 		start, slots = padCacheStart, padCacheSlots
@@ -80,13 +67,13 @@ func newPadCache(cipher *aes.Cipher, slots int) *PadCache {
 	if slots&(slots-1) != 0 {
 		panic("machine: pad cache size must be a power of two")
 	}
-	p := &PadCache{cipher: cipher, max: slots}
+	p := &padCache{cipher: cipher, max: slots}
 	p.resize(start)
 	return p
 }
 
 // resize rehashes the resident pads into a fresh array of n slots.
-func (p *PadCache) resize(n int) {
+func (p *padCache) resize(n int) {
 	old := p.slots
 	p.slots, p.mask = make([]padSlot, n), uint64(n-1)
 	for _, s := range old {
@@ -96,7 +83,7 @@ func (p *PadCache) resize(n int) {
 	}
 }
 
-func (p *PadCache) slot(k padKey) *padSlot {
+func (p *padCache) slot(k padKey) *padSlot {
 	// Mix the three key fields with distinct odd constants
 	// (splitmix64-style) so line-stride access patterns spread across
 	// the table.
@@ -107,7 +94,7 @@ func (p *PadCache) slot(k padKey) *padSlot {
 
 // otp returns the pad for (lineAddr, major, minor), computing and
 // caching it on a miss.
-func (p *PadCache) otp(lineAddr, major uint64, minor uint8) ctr.Pad {
+func (p *padCache) otp(lineAddr, major uint64, minor uint8) ctr.Pad {
 	k := padKey{line: lineAddr, major: major, minor: minor}
 	s := p.slot(k)
 	if s.valid && s.key == k {
@@ -131,7 +118,7 @@ func (p *PadCache) otp(lineAddr, major uint64, minor uint8) ctr.Pad {
 // all 64 lines take pads under (major+1, minor 0) back to back. Pads
 // already resident are not recomputed. A re-encryption storm is the
 // heavy use the full-size cache is for, so the cache grows to it first.
-func (p *PadCache) precomputePage(base, major uint64, minor uint8) {
+func (p *padCache) precomputePage(base, major uint64, minor uint8) {
 	if len(p.slots) < p.max {
 		p.resize(p.max)
 	}

@@ -108,9 +108,8 @@ func TestPrecomputePageWarmsWindow(t *testing.T) {
 
 // TestPadCacheGrows: a default cache starts at padCacheStart slots and
 // doubles once its misses outnumber its slots, up to padCacheSlots,
-// keeping its resident pads and serving exact ones throughout; a shared
-// cache (NewPadCache) and a re-encryption storm (precomputePage) get the
-// full size at once.
+// keeping its resident pads and serving exact ones throughout; a
+// re-encryption storm (precomputePage) gets the full size at once.
 func TestPadCacheGrows(t *testing.T) {
 	cipher := testCipher(t)
 	pc := newPadCache(cipher, 0)
@@ -151,14 +150,10 @@ func TestPadCacheGrows(t *testing.T) {
 		t.Fatalf("cache grew to %d slots, want %d", len(pc.slots), padCacheSlots)
 	}
 
-	shared, err := NewPadCache([]byte("supermem-padkey!"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	storm := newPadCache(cipher, 0)
 	storm.precomputePage(0, 1, 0)
-	if len(shared.slots) != padCacheSlots || len(storm.slots) != padCacheSlots {
-		t.Fatalf("shared cache %d slots, after precomputePage %d, want %d", len(shared.slots), len(storm.slots), padCacheSlots)
+	if len(storm.slots) != padCacheSlots {
+		t.Fatalf("%d slots after precomputePage, want %d", len(storm.slots), padCacheSlots)
 	}
 }
 
