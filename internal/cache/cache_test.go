@@ -289,3 +289,28 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 	}()
 	New("bad", config.CacheConfig{SizeBytes: 100, Ways: 3})
 }
+
+// BenchmarkCacheAccess is the lookup the core models make on every
+// memory operation: a full L1-geometry cache probed with a fixed mix of
+// three hits to one miss, each miss scanning every way of its set.
+func BenchmarkCacheAccess(b *testing.B) {
+	cfg := config.Default().L1
+	c := New("L1", cfg)
+	lines := uint64(cfg.SizeBytes / config.LineSize)
+	for l := uint64(0); l < lines; l++ {
+		c.Fill(l*config.LineSize, false)
+	}
+	addrs := make([]uint64, 2*lines)
+	for i := range addrs {
+		l := uint64(i) % lines
+		if i%4 == 3 {
+			l += lines // the same set under a tag never filled
+		}
+		addrs[i] = l * config.LineSize
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(addrs[i%len(addrs)], false)
+	}
+}

@@ -12,28 +12,36 @@ type nopAcceptor struct{ n int }
 
 func (a *nopAcceptor) Accepted(uint64) { a.n++ }
 
+// warmEnqueueRetire builds an 8-entry controller and returns its
+// enqueue → issue → retire cycle (a data line and a counter line on two
+// banks, flushed and retired by running the engine), warmed up so the
+// queue slice, entry pool and event heap have grown.
+func warmEnqueueRetire(tb testing.TB) (r *rig, acc *nopAcceptor, cycle func()) {
+	r = newRig(tb, 8, true)
+	acc = &nopAcceptor{}
+	entries := []Entry{
+		{Addr: r.l.BankBase(0)},
+		{Addr: r.l.BankBase(1) + config.LineSize, Counter: true},
+	}
+	cycle = func() {
+		if err := r.c.EnqueueTo(r.eng.Now(), entries, acc); err != nil {
+			tb.Fatal(err)
+		}
+		r.c.Flush(r.eng.Now())
+		r.eng.Run()
+	}
+	for i := 0; i < 32; i++ {
+		cycle()
+	}
+	return r, acc, cycle
+}
+
 // TestEnqueueRetireZeroAllocs is the hot-path allocation gate: once the
 // entry pool and queue storage are warm, a full enqueue → issue →
 // retire cycle must not allocate. CI's bench-smoke job fails on any
 // regression here (ISSUE 6 acceptance).
 func TestEnqueueRetireZeroAllocs(t *testing.T) {
-	r := newRig(t, 8, true)
-	acc := &nopAcceptor{}
-	entries := []Entry{
-		{Addr: r.l.BankBase(0)},
-		{Addr: r.l.BankBase(1) + config.LineSize, Counter: true},
-	}
-	cycle := func() {
-		if err := r.c.EnqueueTo(r.eng.Now(), entries, acc); err != nil {
-			t.Fatal(err)
-		}
-		r.c.Flush(r.eng.Now())
-		r.eng.Run()
-	}
-	// Warm: grow the queue slice, entry pool, and event heap.
-	for i := 0; i < 32; i++ {
-		cycle()
-	}
+	r, acc, cycle := warmEnqueueRetire(t)
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("enqueue/issue/retire cycle allocates %v objects, want 0", allocs)
 	}
@@ -42,6 +50,17 @@ func TestEnqueueRetireZeroAllocs(t *testing.T) {
 	}
 	if live := r.c.entryPool.Live(); live != 0 {
 		t.Fatalf("%d queued entries leaked from the pool", live)
+	}
+}
+
+// BenchmarkEnqueueRetire times the cycle TestEnqueueRetireZeroAllocs
+// gates, the write-queue path every simulated persist takes.
+func BenchmarkEnqueueRetire(b *testing.B) {
+	_, _, cycle := warmEnqueueRetire(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 
