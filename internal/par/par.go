@@ -1,8 +1,10 @@
 // Package par provides the deterministic worker-pool primitive shared
-// by the experiment runner (internal/bench) and the crash fuzzer
-// (internal/crash): fan an index space across N workers with
+// by the experiment runner (internal/bench: simulation cells, sweep
+// runs, Table 1's modes) and the crash fuzzer (internal/crash: one
+// machine mode per index): fan an index space across N workers with
 // deterministic error selection, so parallel sweeps report byte-for-byte
-// the same outcome as serial ones.
+// the same outcome as serial ones. It is the only code outside tests
+// that starts goroutines.
 package par
 
 import (
