@@ -54,7 +54,7 @@ func TestEnqueueRetireZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkEnqueueRetire times the cycle TestEnqueueRetireZeroAllocs
-// gates, the write-queue path every simulated persist takes.
+// gates, the write-queue path every simulated NVM write takes.
 func BenchmarkEnqueueRetire(b *testing.B) {
 	_, _, cycle := warmEnqueueRetire(b)
 	b.ReportAllocs()
