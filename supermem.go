@@ -372,9 +372,9 @@ func CrashModes() []CrashMode { return append([]CrashMode(nil), crash.AllModes..
 // field documentation).
 type (
 	// CrashFuzzParams configures a differential fuzzing run: workload,
-	// sizing, sampling budget and seed, nested-crash depth, and worker
-	// count. The zero value fuzzes the array workload exhaustively
-	// across all modes.
+	// sizing, sampling budget and seed, nested-crash depth, and how
+	// many modes are fuzzed at once. The zero value fuzzes the array
+	// workload exhaustively across all modes.
 	CrashFuzzParams = crash.FuzzParams
 	// CrashFuzzResult is the mode-by-mode differential matrix checked
 	// against Table 1's expected recoverability.
