@@ -73,7 +73,7 @@ func record(args []string) {
 	if *out == "" {
 		fail(fmt.Errorf("record: -o output file required"))
 	}
-	srcs, err := bench.BuildSources(bench.Spec{
+	streams, err := bench.BuildSources(bench.Spec{
 		Base:           config.Default(),
 		Workload:       *wl,
 		Scheme:         config.SuperMem, // irrelevant to the op stream
@@ -87,7 +87,7 @@ func record(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	ops := trace.Record(srcs[0])
+	ops := streams[0]
 	f, err := os.Create(*out)
 	if err != nil {
 		fail(err)

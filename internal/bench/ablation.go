@@ -5,7 +5,6 @@ import (
 
 	"supermem/internal/config"
 	"supermem/internal/stats"
-	"supermem/internal/workload"
 )
 
 // AblationPlacement isolates the counter placement policy (Figure 8):
@@ -31,21 +30,18 @@ func AblationPlacement(base config.Config, o Opts) (*stats.Table, error) {
 	for i, v := range variants {
 		cols[i] = v.name
 	}
-	t, err := runGrid(o,
-		"Ablation: write-through counter placement x CWC, 1KB tx latency (cycles)",
-		cols,
-		func(ri, ci int) Spec {
-			cfg := base
-			v := variants[ci]
-			cfg.PlacementOverride = &v.placement
-			cfg.CWCOverride = &v.cwc
-			return o.spec(cfg, workload.Names[ri], config.WT, 1024, 1)
-		},
-		stats.Metrics.AvgTxCycles)
+	rows, err := runGrid(o, len(variants), func(wl string, ci int) Spec {
+		cfg := base
+		v := variants[ci]
+		cfg.PlacementOverride = &v.placement
+		cfg.CWCOverride = &v.cwc
+		return o.spec(cfg, wl, config.WT, 1024, 1)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("ablation placement %w", err)
 	}
-	return t, nil
+	return gridTable("Ablation: write-through counter placement x CWC, 1KB tx latency (cycles)",
+		cols, rows, stats.Metrics.AvgTxCycles), nil
 }
 
 // AblationTxSizeCoalescing reports the fraction of counter writes CWC
@@ -57,21 +53,20 @@ func AblationTxSizeCoalescing(base config.Config, o Opts) (*stats.Table, error) 
 	for i, s := range sizes {
 		cols[i] = fmt.Sprintf("%dB", s)
 	}
-	t, err := runGrid(o,
-		"Ablation: % counter writes coalesced by transaction size (SuperMem)",
-		cols,
-		func(ri, ci int) Spec { return o.spec(base, workload.Names[ri], config.SuperMem, sizes[ci], 1) },
+	rows, err := runGrid(o, len(sizes), func(wl string, ci int) Spec {
+		return o.spec(base, wl, config.SuperMem, sizes[ci], 1)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ablation coalescing %w", err)
+	}
+	return gridTable("Ablation: % counter writes coalesced by transaction size (SuperMem)", cols, rows,
 		func(m stats.Metrics) float64 {
 			total := m.CounterWrites + m.CoalescedWrites
 			if total == 0 {
 				return 0
 			}
 			return 100 * float64(m.CoalescedWrites) / float64(total)
-		})
-	if err != nil {
-		return nil, fmt.Errorf("ablation coalescing %w", err)
-	}
-	return t, nil
+		}), nil
 }
 
 // ExtensionSCA compares this repository's extra SCA baseline (selective
@@ -82,19 +77,12 @@ func AblationTxSizeCoalescing(base config.Config, o Opts) (*stats.Table, error) 
 // counters — quantifying why SCA needed software help to be selective.
 func ExtensionSCA(base config.Config, o Opts) (*stats.Table, error) {
 	schemes := []config.Scheme{config.Unsec, config.WB, config.SCA, config.WT, config.SuperMem}
-	cols := make([]string, len(schemes))
-	for i, s := range schemes {
-		cols[i] = s.String()
-	}
-	t, err := runGrid(o,
-		"Extension: SCA baseline vs paper schemes, 1KB tx latency (cycles)",
-		cols,
-		func(ri, ci int) Spec { return o.spec(base, workload.Names[ri], schemes[ci], 1024, 1) },
-		stats.Metrics.AvgTxCycles)
+	cols, rows, err := schemeGrid(base, o, schemes, 1024, 1)
 	if err != nil {
 		return nil, fmt.Errorf("sca %w", err)
 	}
-	return t, nil
+	return gridTable("Extension: SCA baseline vs paper schemes, 1KB tx latency (cycles)",
+		cols, rows, stats.Metrics.AvgTxCycles), nil
 }
 
 // ExtensionOsiris compares the Osiris extension (relaxed counter
@@ -107,32 +95,13 @@ func ExtensionSCA(base config.Config, o Opts) (*stats.Table, error) {
 // cell grid, so the artifact is deterministic at any parallelism.
 func ExtensionOsiris(base config.Config, o Opts) (latency, writes *stats.Table, err error) {
 	schemes := []config.Scheme{config.Unsec, config.WB, config.Osiris, config.WT, config.SuperMem}
-	cols := make([]string, len(schemes))
-	for i, s := range schemes {
-		cols[i] = s.String()
-	}
-	cells := make([]Spec, 0, len(workload.Names)*len(schemes))
-	for _, wl := range workload.Names {
-		for _, s := range schemes {
-			cells = append(cells, o.spec(base, wl, s, 1024, 1))
-		}
-	}
-	ms, err := o.newRunner().RunCells(cells)
+	cols, rows, err := schemeGrid(base, o, schemes, 1024, 1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("osiris %w", err)
 	}
-	latency = stats.NewTable("Extension: Osiris stop-loss vs paper schemes, 1KB tx latency (cycles)", cols...)
-	writes = stats.NewTable("Extension: Osiris counter writes enqueued, 1KB transactions", cols...)
-	for ri, wl := range workload.Names {
-		latRow := make([]float64, len(schemes))
-		wrRow := make([]float64, len(schemes))
-		for ci := range schemes {
-			m := ms[ri*len(schemes)+ci]
-			latRow[ci] = m.AvgTxCycles()
-			wrRow[ci] = float64(m.CounterWrites)
-		}
-		latency.AddRow(wl, latRow...)
-		writes.AddRow(wl, wrRow...)
-	}
+	latency = gridTable("Extension: Osiris stop-loss vs paper schemes, 1KB tx latency (cycles)",
+		cols, rows, stats.Metrics.AvgTxCycles)
+	writes = gridTable("Extension: Osiris counter writes enqueued, 1KB transactions", cols, rows,
+		func(m stats.Metrics) float64 { return float64(m.CounterWrites) })
 	return latency, writes, nil
 }

@@ -286,6 +286,11 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 		if mitigated {
 			cfg.WearRemapPeriod = ao.WearPeriod
 		}
+		if attack {
+			// Core 0 is the attacker; the victim on core 1 keeps the
+			// template's model.
+			cfg.CoreModels[0] = ao.AttackerModel
+		}
 		s := Spec{
 			Base:     cfg,
 			Workload: "array",
@@ -312,9 +317,6 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 			}
 			s.CoreWorkloads = [4]string{"hotbank"}
 			s.Attack = workload.AttackConfig{HotPages: 64, FlushesPerStep: flushes}
-			// Core 0 is the attacker; the victim on core 1 keeps the
-			// in-order default.
-			s.CoreModels = [4]string{ao.AttackerModel}
 		} else {
 			// Victim-alone baseline: one core, one bank — the same
 			// single-bank layout the victim core has in the attack cell.
@@ -567,10 +569,7 @@ func crashLoopCells(mode machine.Mode, o Opts, ao AttackOpts) (off, on CrashLoop
 	// the mitigated loop must stay survivable even on faulty media.
 	pf := pAtk
 	pf.RecoveryBound = ao.RecoveryBound
-	plan, err := fault.Generate(fault.PlanConfig{
-		Seed: o.Seed, Steps: 24,
-		BitFlips: 2, StuckAts: 1, TornWrites: 1, CtrFaults: 1, FlipBitsMax: 1,
-	})
+	plan, err := mediaPlan(o.Seed)
 	if err != nil {
 		return off, on, err
 	}

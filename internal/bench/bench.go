@@ -60,45 +60,24 @@ type Spec struct {
 	// trace-cache key.
 	CoreWorkloads [4]string
 	// CoreModel selects the per-core timing model that replays the
-	// recorded stream (config.CoreInOrder or config.CoreOoO; "" is
-	// in-order). Timing-only: traces are generated functionally, so
-	// model variants share one trace-cache entry.
+	// recorded stream (config.CoreInOrder or config.CoreOoO; "" keeps
+	// Base.CoreModel). Timing-only: traces are generated functionally,
+	// so model variants share one trace-cache entry. The model's other
+	// knobs (per-core models, OoO width, MSHRs, prefetch degree) are set
+	// on Base.
 	CoreModel string
-	// CoreModels overrides CoreModel per core ("" keeps CoreModel) — the
-	// attack experiment can give the attacker a different model than its
-	// victims. Timing-only, unkeyed like CoreModel.
-	CoreModels [4]string
-	// OoOWidth, MSHREntries, and PrefetchDegree size the OoO model
-	// (0 uses the config defaults). Timing-only, unkeyed.
-	OoOWidth       int
-	MSHREntries    int
-	PrefetchDegree int
 }
 
 // config assembles the effective system configuration for the spec: the
-// base template with the spec's core count and scheme applied. Every
-// run path (trace building, the system, the cell runner) derives its
-// configuration here so they can never disagree.
+// base template with the spec's core count, scheme and core model
+// applied. Every run path (trace building, the system, the cell runner)
+// derives its configuration here so they can never disagree.
 func (s Spec) config() config.Config {
 	cfg := s.Base
 	cfg.Cores = s.Cores
 	cfg.Scheme = s.Scheme
 	if s.CoreModel != "" {
 		cfg.CoreModel = s.CoreModel
-	}
-	for i, m := range s.CoreModels {
-		if m != "" {
-			cfg.CoreModels[i] = m
-		}
-	}
-	if s.OoOWidth > 0 {
-		cfg.OoOWidth = s.OoOWidth
-	}
-	if s.MSHREntries > 0 {
-		cfg.MSHREntries = s.MSHREntries
-	}
-	if s.PrefetchDegree > 0 {
-		cfg.PrefetchDegree = s.PrefetchDegree
 	}
 	return cfg
 }
@@ -146,29 +125,39 @@ func (o Opts) spec(base config.Config, wl string, scheme config.Scheme, txBytes,
 	}
 }
 
-// runGrid is the shared figure shape: a workload-per-row grid whose
-// columns are produced by specAt, executed on the parallel runner, with
-// one table value extracted per cell.
-func runGrid(o Opts, title string, cols []string, specAt func(row, col int) Spec, value func(stats.Metrics) float64) (*stats.Table, error) {
-	cells := make([]Spec, 0, len(workload.Names)*len(cols))
-	for ri := range workload.Names {
-		for ci := range cols {
-			cells = append(cells, specAt(ri, ci))
+// runGrid runs the figures' cell grid on the parallel runner: one
+// cell per (workload, column), built by specAt, with the metrics
+// returned by row and column.
+func runGrid(o Opts, ncols int, specAt func(wl string, col int) Spec) ([][]stats.Metrics, error) {
+	cells := make([]Spec, 0, len(workload.Names)*ncols)
+	for _, wl := range workload.Names {
+		for ci := 0; ci < ncols; ci++ {
+			cells = append(cells, specAt(wl, ci))
 		}
 	}
 	ms, err := o.newRunner().RunCells(cells)
 	if err != nil {
 		return nil, err
 	}
+	rows := make([][]stats.Metrics, len(workload.Names))
+	for ri := range rows {
+		rows[ri] = ms[ri*ncols : (ri+1)*ncols]
+	}
+	return rows, nil
+}
+
+// gridTable reads one metric of a runGrid result into a table, one row
+// per workload.
+func gridTable(title string, cols []string, rows [][]stats.Metrics, value func(stats.Metrics) float64) *stats.Table {
 	t := stats.NewTable(title, cols...)
 	for ri, wl := range workload.Names {
 		row := make([]float64, len(cols))
 		for ci := range cols {
-			row[ci] = value(ms[ri*len(cols)+ci])
+			row[ci] = value(rows[ri][ci])
 		}
 		t.AddRow(wl, row...)
 	}
-	return t, nil
+	return t
 }
 
 const logRegionSize = 4 << 20 // per-program redo log region
@@ -226,7 +215,7 @@ func warmupSteps(spec Spec, wl string) int {
 		}
 		return n
 	case "queue":
-		return items(spec.Workload, spec.TxBytes, spec.FootprintBytes) / 2
+		return items(wl, spec.TxBytes, spec.FootprintBytes) / 2
 	case "kv":
 		// Setup preloads the whole keyspace; a short request burst warms
 		// the caches and write queue before measurement.
@@ -242,12 +231,12 @@ func warmupSteps(spec Spec, wl string) int {
 	}
 }
 
-// BuildSources generates the per-core op streams for a spec (exported
-// for the trace tool).
-func BuildSources(spec Spec) ([]trace.Source, error) {
+// BuildSources records the per-core op streams for a spec, one slice
+// per core (exported for the trace tool).
+func BuildSources(spec Spec) ([][]trace.Op, error) {
 	cfg := spec.config()
 	layout := nvm.NewLayout(cfg)
-	sources := make([]trace.Source, spec.Cores)
+	streams := make([][]trace.Op, spec.Cores)
 	for i := 0; i < spec.Cores; i++ {
 		wl := spec.Workload
 		if i < len(spec.CoreWorkloads) && spec.CoreWorkloads[i] != "" {
@@ -319,9 +308,9 @@ func BuildSources(spec Spec) ([]trace.Source, error) {
 				return nil, fmt.Errorf("bench: core %d step %d: %w", i, s, err)
 			}
 		}
-		sources[i] = b.Source()
+		streams[i] = b.Ops()
 	}
-	return sources, nil
+	return streams, nil
 }
 
 // Run executes one spec and returns its metrics.
@@ -334,29 +323,33 @@ func Run(spec Spec) (stats.Metrics, error) {
 // direct view of the Figure 8 story: under WT+SingleBank the counter
 // bank's busy share dwarfs every data bank's.
 func RunWithBanks(spec Spec) (stats.Metrics, []nvm.BankStats, error) {
-	cfg := spec.config()
-	sources, err := BuildSources(spec)
+	streams, err := BuildSources(spec)
 	if err != nil {
 		return stats.Metrics{}, nil, err
 	}
-	sys, err := core.NewSystem(cfg)
+	sys, err := core.NewSystem(spec.config())
 	if err != nil {
 		return stats.Metrics{}, nil, err
 	}
-	m, err := sys.Run(sources)
+	m, err := sys.Run(replaySources(streams))
 	if err != nil {
 		return stats.Metrics{}, nil, err
 	}
 	return m, sys.BankStats(), nil
 }
 
-// schemeColumns renders the figure legends' scheme order.
-func schemeColumns() []string {
-	cols := make([]string, 0, 6)
-	for _, s := range config.AllSchemes() {
+// schemeGrid runs every workload under each scheme at one transaction
+// size and program count, and returns the scheme names as the column
+// labels. Figures 13, 14 and 15 and the SCA and Osiris extensions read
+// their tables off it.
+func schemeGrid(base config.Config, o Opts, schemes []config.Scheme, txBytes, cores int) (cols []string, rows [][]stats.Metrics, err error) {
+	for _, s := range schemes {
 		cols = append(cols, s.String())
 	}
-	return cols
+	rows, err = runGrid(o, len(schemes), func(wl string, ci int) Spec {
+		return o.spec(base, wl, schemes[ci], txBytes, cores)
+	})
+	return cols, rows, err
 }
 
 // Fig13 reproduces Figure 13: single-core transaction execution latency
@@ -364,47 +357,36 @@ func schemeColumns() []string {
 // transaction request size. Cells are average transaction latency in
 // cycles; print table.Normalize("Unsec") for the paper's presentation.
 func Fig13(base config.Config, txBytes int, o Opts) (*stats.Table, error) {
-	schemes := config.AllSchemes()
-	t, err := runGrid(o,
-		fmt.Sprintf("Figure 13: single-core tx latency, %dB transactions (cycles)", txBytes),
-		schemeColumns(),
-		func(ri, ci int) Spec { return o.spec(base, workload.Names[ri], schemes[ci], txBytes, 1) },
-		stats.Metrics.AvgTxCycles)
+	cols, rows, err := schemeGrid(base, o, config.AllSchemes(), txBytes, 1)
 	if err != nil {
 		return nil, fmt.Errorf("fig13 %w", err)
 	}
-	return t, nil
+	return gridTable(fmt.Sprintf("Figure 13: single-core tx latency, %dB transactions (cycles)", txBytes),
+		cols, rows, stats.Metrics.AvgTxCycles), nil
 }
 
 // Fig14 reproduces Figure 14: multi-core transaction latency with the
 // given number of programs (2, 4, or 8 in the paper) at 1 KB
 // transactions.
 func Fig14(base config.Config, programs int, o Opts) (*stats.Table, error) {
-	schemes := config.AllSchemes()
-	t, err := runGrid(o,
-		fmt.Sprintf("Figure 14: %d-program tx latency, 1KB transactions (cycles)", programs),
-		schemeColumns(),
-		func(ri, ci int) Spec { return o.spec(base, workload.Names[ri], schemes[ci], 1024, programs) },
-		stats.Metrics.AvgTxCycles)
+	cols, rows, err := schemeGrid(base, o, config.AllSchemes(), 1024, programs)
 	if err != nil {
 		return nil, fmt.Errorf("fig14 %w", err)
 	}
-	return t, nil
+	return gridTable(fmt.Sprintf("Figure 14: %d-program tx latency, 1KB transactions (cycles)", programs),
+		cols, rows, stats.Metrics.AvgTxCycles), nil
 }
 
 // Fig15 reproduces Figure 15: the number of NVM write requests under
-// each scheme, normalized to Unsec, at the given transaction size.
+// each scheme, normalized to Unsec, at the given transaction size. It
+// reads Figure 13's grid through TotalNVMWrites.
 func Fig15(base config.Config, txBytes int, o Opts) (*stats.Table, error) {
-	schemes := config.AllSchemes()
-	raw, err := runGrid(o,
-		fmt.Sprintf("Figure 15: NVM writes, %dB transactions", txBytes),
-		schemeColumns(),
-		func(ri, ci int) Spec { return o.spec(base, workload.Names[ri], schemes[ci], txBytes, 1) },
-		func(m stats.Metrics) float64 { return float64(m.TotalNVMWrites()) })
+	cols, rows, err := schemeGrid(base, o, config.AllSchemes(), txBytes, 1)
 	if err != nil {
 		return nil, fmt.Errorf("fig15 %w", err)
 	}
-	return raw.Normalize("Unsec"), nil
+	return gridTable(fmt.Sprintf("Figure 15: NVM writes, %dB transactions", txBytes), cols, rows,
+		func(m stats.Metrics) float64 { return float64(m.TotalNVMWrites()) }).Normalize("Unsec"), nil
 }
 
 // Fig16 reproduces Figure 16: sensitivity to write queue length.
@@ -420,35 +402,25 @@ func Fig16(base config.Config, o Opts) (reduction, latency *stats.Table, err err
 	// Each grid point needs a WT and a SuperMem run; interleave them as
 	// adjacent cells so both replay the same cached trace.
 	schemes := []config.Scheme{config.WT, config.SuperMem}
-	var cells []Spec
-	for _, wl := range workload.Names {
-		for _, l := range lengths {
-			cfg := base
-			cfg.WriteQueueEntries = l
-			for _, s := range schemes {
-				cells = append(cells, o.spec(cfg, wl, s, 1024, 1))
-			}
-		}
-	}
-	ms, err := o.newRunner().RunCells(cells)
+	rows, err := runGrid(o, 2*len(lengths), func(wl string, ci int) Spec {
+		cfg := base
+		cfg.WriteQueueEntries = lengths[ci/2]
+		return o.spec(cfg, wl, schemes[ci%2], 1024, 1)
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig16 %w", err)
 	}
 	reduction = stats.NewTable("Figure 16a: % counter writes removed vs WT, by write queue length", cols...)
 	latency = stats.NewTable("Figure 16b: SuperMem tx latency (cycles), by write queue length", cols...)
-	i := 0
-	for _, wl := range workload.Names {
-		redRow := make([]float64, 0, len(lengths))
-		latRow := make([]float64, 0, len(lengths))
-		for range lengths {
-			wt, sm := ms[i], ms[i+1]
-			i += 2
-			red := 0.0
+	for ri, wl := range workload.Names {
+		redRow := make([]float64, len(lengths))
+		latRow := make([]float64, len(lengths))
+		for li := range lengths {
+			wt, sm := rows[ri][2*li], rows[ri][2*li+1]
 			if wt.CounterWrites > 0 {
-				red = 100 * (1 - float64(sm.CounterWrites)/float64(wt.CounterWrites))
+				redRow[li] = 100 * (1 - float64(sm.CounterWrites)/float64(wt.CounterWrites))
 			}
-			redRow = append(redRow, red)
-			latRow = append(latRow, sm.AvgTxCycles())
+			latRow[li] = sm.AvgTxCycles()
 		}
 		reduction.AddRow(wl, redRow...)
 		latency.AddRow(wl, latRow...)
@@ -462,33 +434,19 @@ func Fig16(base config.Config, o Opts) (reduction, latency *stats.Table, err err
 func Fig17(base config.Config, o Opts) (hitRate, execTime *stats.Table, err error) {
 	sizes := []int{1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 	cols := []string{"1KB", "16KB", "64KB", "256KB", "1MB", "4MB"}
-	var cells []Spec
-	for _, wl := range workload.Names {
-		for _, size := range sizes {
-			cfg := base
-			cfg.CounterCache.SizeBytes = size
-			if size < 64*cfg.CounterCache.Ways {
-				cfg.CounterCache.Ways = size / 64
-			}
-			cells = append(cells, o.spec(cfg, wl, config.SuperMem, 1024, 1))
+	rows, err := runGrid(o, len(sizes), func(wl string, ci int) Spec {
+		cfg := base
+		cfg.CounterCache.SizeBytes = sizes[ci]
+		if sizes[ci] < 64*cfg.CounterCache.Ways {
+			cfg.CounterCache.Ways = sizes[ci] / 64
 		}
-	}
-	ms, err := o.newRunner().RunCells(cells)
+		return o.spec(cfg, wl, config.SuperMem, 1024, 1)
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig17 %w", err)
 	}
-	hitRate = stats.NewTable("Figure 17a: counter cache hit rate, by counter cache size", cols...)
-	rawTime := stats.NewTable("Figure 17b: execution time, by counter cache size", cols...)
-	for ri, wl := range workload.Names {
-		hitRow := make([]float64, 0, len(sizes))
-		timeRow := make([]float64, 0, len(sizes))
-		for ci := range sizes {
-			m := ms[ri*len(sizes)+ci]
-			hitRow = append(hitRow, m.CtrCacheHitRate())
-			timeRow = append(timeRow, float64(m.Cycles))
-		}
-		hitRate.AddRow(wl, hitRow...)
-		rawTime.AddRow(wl, timeRow...)
-	}
+	hitRate = gridTable("Figure 17a: counter cache hit rate, by counter cache size", cols, rows, stats.Metrics.CtrCacheHitRate)
+	rawTime := gridTable("Figure 17b: execution time, by counter cache size", cols, rows,
+		func(m stats.Metrics) float64 { return float64(m.Cycles) })
 	return hitRate, rawTime.Normalize("1KB"), nil
 }

@@ -41,10 +41,9 @@ type FaultSweepOpts struct {
 	Workloads []string
 	// Steps is the workload step count per run (default 8).
 	Steps int
-	// PlanSeeds generate one fault plan each (default {1, 2}).
+	// PlanSeeds generate one fault plan each (default {1, 2}); see
+	// mediaPlan.
 	PlanSeeds []int64
-	// PlanSteps is the media-fault horizon in persist steps (default 24).
-	PlanSteps int
 	// CrashPoints are the armed persist steps; negative means no crash.
 	// Crashing points also arm a nested recovery crash at step 1.
 	// Default {-1, 3, 6}.
@@ -64,9 +63,6 @@ func (o FaultSweepOpts) withDefaults() FaultSweepOpts {
 	if len(o.PlanSeeds) == 0 {
 		o.PlanSeeds = []int64{1, 2}
 	}
-	if o.PlanSteps == 0 {
-		o.PlanSteps = 24
-	}
 	if len(o.CrashPoints) == 0 {
 		o.CrashPoints = []int{-1, 3, 6}
 	}
@@ -77,13 +73,8 @@ func (o FaultSweepOpts) withDefaults() FaultSweepOpts {
 type FaultCell struct {
 	Mode string `json:"mode"`
 	ECC  string `json:"ecc"`
-	// Runs is workloads x plans x crash points.
-	Runs            int `json:"runs"`
-	Clean           int `json:"clean"`
-	Recovered       int `json:"recovered"`
-	Detected        int `json:"detected"`
-	Silent          int `json:"silent"`
-	BaselineCorrupt int `json:"baseline_corrupt"`
+	// outcomes tallies the runs: workloads x plans x crash points.
+	outcomes
 	// TreeDetected counts runs where the integrity tree caught a
 	// counter attack ECC classified clean (integrity-tree modes only).
 	TreeDetected int `json:"tree_detected,omitempty"`
@@ -114,14 +105,81 @@ type FaultSweepResult struct {
 	Quarantine QuarantineCell `json:"quarantine"`
 }
 
-// faultRun is one flattened grid point.
+// outcomes tallies a fault grid's runs by differential outcome.
+// FaultTreeDetected is counted into a field of the embedding cell, so
+// each cell type keeps its own JSON tag for it.
+type outcomes struct {
+	Runs            int `json:"runs"`
+	Clean           int `json:"clean"`
+	Recovered       int `json:"recovered"`
+	Detected        int `json:"detected"`
+	Silent          int `json:"silent"`
+	BaselineCorrupt int `json:"baseline_corrupt"`
+}
+
+// add counts one run with the given outcome; a tree detection goes to
+// *treeDetected.
+func (t *outcomes) add(o crash.FaultOutcome, treeDetected *int) {
+	t.Runs++
+	switch o {
+	case crash.FaultClean:
+		t.Clean++
+	case crash.FaultRecovered:
+		t.Recovered++
+	case crash.FaultDetected:
+		t.Detected++
+	case crash.FaultSilent:
+		t.Silent++
+	case crash.FaultBaselineCorrupt:
+		t.BaselineCorrupt++
+	case crash.FaultTreeDetected:
+		(*treeDetected)++
+	}
+}
+
+// faultRun is one flattened point of a fault grid: a crash-machine run
+// injecting plan under ecc, crashing at persist step crashAt (negative:
+// no crash).
 type faultRun struct {
-	cell     int // index into the cells slice
+	cell     int // index of the cell the run is tallied into
 	mode     machine.Mode
-	ecc      fault.ECCConfig
 	workload string
-	planSeed int64
+	plan     fault.Plan
+	ecc      fault.ECCConfig
 	crashAt  int
+}
+
+// runFaultGrid runs every point through crash.RunFault at seed 7 for
+// steps workload steps, and returns the results in run order. An armed
+// crash also arms a nested crash at recovery step 1. Plans are only
+// read, so runs may share one.
+func runFaultGrid(runs []faultRun, steps, parallel int) ([]crash.FaultResult, error) {
+	results := make([]crash.FaultResult, len(runs))
+	err := par.ForEachIndex(parallel, len(runs), func(i int) error {
+		r := runs[i]
+		recoveryCrashAt := -1
+		if r.crashAt >= 0 {
+			recoveryCrashAt = 1
+		}
+		p := crash.Params{Mode: r.mode, Workload: r.workload, Steps: steps, Seed: 7}
+		res, err := crash.RunFault(p, r.plan, r.ecc, r.crashAt, recoveryCrashAt)
+		if err != nil {
+			return fmt.Errorf("%v/%s %s seed=%d crash@%d: %w", r.mode, r.ecc.Name, r.workload, r.plan.Seed, r.crashAt, err)
+		}
+		results[i] = res
+		return nil
+	})
+	return results, err
+}
+
+// mediaPlan generates the seeded media-fault plan of the fault sweep and
+// the attack's crash loop: two single-bit flips, a stuck-at, a torn
+// write and a counter fault within 24 persist steps.
+func mediaPlan(seed int64) (fault.Plan, error) {
+	return fault.Generate(fault.PlanConfig{
+		Seed: seed, Steps: 24,
+		BitFlips: 2, StuckAts: 1, TornWrites: 1, CtrFaults: 1, FlipBitsMax: 1,
+	})
 }
 
 // faultSweepExperiment is the registry entry; -fault-seed picks the
@@ -150,6 +208,14 @@ func FaultSweep(o FaultSweepOpts) (*FaultSweepResult, error) {
 	o = o.withDefaults()
 	profiles := FaultSweepECC()
 
+	var plans []fault.Plan
+	for _, seed := range o.PlanSeeds {
+		plan, err := mediaPlan(seed)
+		if err != nil {
+			return nil, err
+		}
+		plans = append(plans, plan)
+	}
 	// Flatten the grid in a fixed order: cells are mode-major, profile
 	// minor; runs within a cell are workload x plan x crash point.
 	cells := make([]FaultCell, 0, len(crash.AllModes)*len(profiles))
@@ -159,65 +225,24 @@ func FaultSweep(o FaultSweepOpts) (*FaultSweepResult, error) {
 			ci := len(cells)
 			cells = append(cells, FaultCell{Mode: mode.String(), ECC: ecc.Name})
 			for _, wl := range o.Workloads {
-				for _, seed := range o.PlanSeeds {
+				for _, plan := range plans {
 					for _, crashAt := range o.CrashPoints {
-						runs = append(runs, faultRun{
-							cell: ci, mode: mode, ecc: ecc,
-							workload: wl, planSeed: seed, crashAt: crashAt,
-						})
+						runs = append(runs, faultRun{cell: ci, mode: mode, workload: wl, plan: plan, ecc: ecc, crashAt: crashAt})
 					}
 				}
 			}
 		}
 	}
-
-	results := make([]crash.FaultResult, len(runs))
-	err := par.ForEachIndex(o.Parallel, len(runs), func(i int) error {
-		r := runs[i]
-		plan, err := fault.Generate(fault.PlanConfig{
-			Seed: r.planSeed, Steps: o.PlanSteps,
-			BitFlips: 2, StuckAts: 1, TornWrites: 1, CtrFaults: 1, FlipBitsMax: 1,
-		})
-		if err != nil {
-			return err
-		}
-		recoveryCrashAt := -1
-		if r.crashAt >= 0 {
-			recoveryCrashAt = 1
-		}
-		p := crash.Params{Mode: r.mode, Workload: r.workload, Steps: o.Steps, Seed: 7}
-		res, err := crash.RunFault(p, plan, r.ecc, r.crashAt, recoveryCrashAt)
-		if err != nil {
-			return fmt.Errorf("faultsweep %v/%s %s seed=%d crash@%d: %w",
-				r.mode, r.ecc.Name, r.workload, r.planSeed, r.crashAt, err)
-		}
-		results[i] = res
-		return nil
-	})
+	results, err := runFaultGrid(runs, o.Steps, o.Parallel)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("faultsweep %w", err)
 	}
-
 	// Aggregate in grid order so the tallies (and JSON) are independent
 	// of worker scheduling.
 	for i, r := range runs {
 		c := &cells[r.cell]
-		c.Runs++
+		c.add(results[i].Outcome, &c.TreeDetected)
 		c.Injected += results[i].Stats.Injected
-		switch results[i].Outcome {
-		case crash.FaultClean:
-			c.Clean++
-		case crash.FaultRecovered:
-			c.Recovered++
-		case crash.FaultDetected:
-			c.Detected++
-		case crash.FaultSilent:
-			c.Silent++
-		case crash.FaultBaselineCorrupt:
-			c.BaselineCorrupt++
-		case crash.FaultTreeDetected:
-			c.TreeDetected++
-		}
 	}
 
 	q, err := quarantineCell()
@@ -251,7 +276,7 @@ func quarantineCell() (QuarantineCell, error) {
 		FootprintBytes: 1 << 20,
 		Seed:           1,
 	}
-	sources, err := BuildSources(spec)
+	streams, err := BuildSources(spec)
 	if err != nil {
 		return QuarantineCell{}, err
 	}
@@ -268,13 +293,9 @@ func quarantineCell() (QuarantineCell, error) {
 		{Kind: fault.BankLatency, Step: 16, Target: 2, Arg: 64 | 300<<32},
 	}}
 	sys.SetBankFaults(fault.NewBankFaults(plan, cfg.Banks))
-	m, err := sys.Run(sources)
+	m, err := sys.Run(replaySources(streams))
 	if err != nil {
 		return QuarantineCell{}, err
-	}
-	var obsRemaps uint64
-	for _, v := range rec.SeriesValues(obs.SeriesBankRemaps) {
-		obsRemaps += uint64(v)
 	}
 	return QuarantineCell{
 		Workload:         spec.Workload,
@@ -284,7 +305,7 @@ func quarantineCell() (QuarantineCell, error) {
 		UncorrectedReads: m.UncorrectedReads,
 		BankRemaps:       m.BankRemaps,
 		QuarantinedBanks: m.QuarantinedBanks,
-		ObsBankRemaps:    obsRemaps,
+		ObsBankRemaps:    sumSeries(rec, obs.SeriesBankRemaps),
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,6 +36,36 @@ func TestWarmupStepsPerWorkload(t *testing.T) {
 	s.Warmup = 7
 	if got := warmupSteps(s, s.Workload); got != 7 {
 		t.Errorf("explicit warmup ignored: %d", got)
+	}
+}
+
+// TestWarmupSizesByCoreWorkload: a core whose CoreWorkloads entry
+// overrides the spec's workload is warmed up for its own workload, so
+// a queue core gets the same trace whether the spec's workload is
+// "queue" or another workload with "queue" on that core.
+func TestWarmupSizesByCoreWorkload(t *testing.T) {
+	spec := Spec{
+		Base:           config.Default(),
+		Workload:       "array",
+		Scheme:         config.SuperMem,
+		TxBytes:        1024,
+		Transactions:   4,
+		Cores:          2,
+		FootprintBytes: 64 << 10,
+		Seed:           1,
+		CoreWorkloads:  [4]string{"", "queue"},
+	}
+	mixed, err := BuildSources(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Workload, spec.CoreWorkloads = "queue", [4]string{}
+	queue, err := BuildSources(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(mixed[1], queue[1]) {
+		t.Fatalf("core 1 (queue) trace depends on the spec's workload: %d ops vs %d", len(mixed[1]), len(queue[1]))
 	}
 }
 

@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"supermem/internal/config"
-	"supermem/internal/crash"
 	"supermem/internal/fault"
 	"supermem/internal/machine"
-	"supermem/internal/par"
 )
 
 // The integrity experiment measures what the integrity-tree schemes
@@ -82,14 +80,9 @@ func IntegritySchemes() []config.Scheme {
 // points under strong ECC against the counter-attack plan.
 type IntegrityCell struct {
 	Mode string `json:"mode"`
-	// Runs is workloads x crash points.
-	Runs            int `json:"runs"`
-	Clean           int `json:"clean"`
-	Recovered       int `json:"recovered"`
-	Detected        int `json:"detected"`
-	Silent          int `json:"silent"`
-	BaselineCorrupt int `json:"baseline_corrupt"`
-	TreeDetected    int `json:"tree_detected"`
+	// outcomes tallies the runs: workloads x crash points.
+	outcomes
+	TreeDetected int `json:"tree_detected"`
 	// Replays/TreeFlags sum the injected counter rollbacks and the
 	// tree detections they triggered across the runs.
 	Replays   int `json:"replays"`
@@ -138,71 +131,34 @@ func integrityAttackPlan() fault.Plan {
 	}}
 }
 
-// integrityRun is one flattened detection-grid point.
-type integrityRun struct {
-	cell     int
-	mode     machine.Mode
-	workload string
-	crashAt  int
-}
-
 // IntegritySweep runs the detection grid and the timing cells.
 func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) {
 	o = o.withDefaults()
 
 	cells := make([]IntegrityCell, 0, len(integrityModes()))
-	var runs []integrityRun
+	plan := integrityAttackPlan()
+	var runs []faultRun
 	for _, mode := range integrityModes() {
 		ci := len(cells)
 		cells = append(cells, IntegrityCell{Mode: mode.String()})
 		for _, wl := range o.Workloads {
 			for _, crashAt := range o.CrashPoints {
-				runs = append(runs, integrityRun{cell: ci, mode: mode, workload: wl, crashAt: crashAt})
+				runs = append(runs, faultRun{cell: ci, mode: mode, workload: wl, plan: plan, ecc: fault.ECCStrong(), crashAt: crashAt})
 			}
 		}
 	}
-
-	results := make([]crash.FaultResult, len(runs))
-	err := par.ForEachIndex(o.Parallel, len(runs), func(i int) error {
-		r := runs[i]
-		recoveryCrashAt := -1
-		if r.crashAt >= 0 {
-			recoveryCrashAt = 1
-		}
-		p := crash.Params{Mode: r.mode, Workload: r.workload, Steps: o.Steps, Seed: 7}
-		res, err := crash.RunFault(p, integrityAttackPlan(), fault.ECCStrong(), r.crashAt, recoveryCrashAt)
-		if err != nil {
-			return fmt.Errorf("integrity %v %s crash@%d: %w", r.mode, r.workload, r.crashAt, err)
-		}
-		results[i] = res
-		return nil
-	})
+	results, err := runFaultGrid(runs, o.Steps, o.Parallel)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("integrity %w", err)
 	}
-
 	for i, r := range runs {
 		c := &cells[r.cell]
-		c.Runs++
+		c.add(results[i].Outcome, &c.TreeDetected)
 		c.Replays += results[i].Stats.CtrReplays
 		c.TreeFlags += results[i].Stats.CtrTreeDetected
 		c.RecoveryHashes += results[i].TreeStats.RecoveryHashes
 		if results[i].TreeBytes > c.TreeBytes {
 			c.TreeBytes = results[i].TreeBytes
-		}
-		switch results[i].Outcome {
-		case crash.FaultClean:
-			c.Clean++
-		case crash.FaultRecovered:
-			c.Recovered++
-		case crash.FaultDetected:
-			c.Detected++
-		case crash.FaultSilent:
-			c.Silent++
-		case crash.FaultBaselineCorrupt:
-			c.BaselineCorrupt++
-		case crash.FaultTreeDetected:
-			c.TreeDetected++
 		}
 	}
 

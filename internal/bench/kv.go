@@ -3,6 +3,7 @@ package bench
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -175,8 +176,8 @@ func KVServe(base config.Config, o Opts, ko KVOpts) (*KVResult, error) {
 		}
 	}
 	if *ko.UncoreVariants {
-		maxShards := ko.Shards[len(ko.Shards)-1]
-		maxTheta := ko.Thetas[len(ko.Thetas)-1]
+		maxShards := slices.Max(ko.Shards)
+		maxTheta := slices.Max(ko.Thetas)
 		if maxShards > 1 {
 			for _, v := range []variant{{true, false}, {false, true}, {true, true}} {
 				points = append(points, point{maxTheta, maxShards, config.SuperMem, v})

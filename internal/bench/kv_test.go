@@ -73,13 +73,9 @@ func TestKVShardStreamStableAcrossShardCounts(t *testing.T) {
 	spec.Transactions = 20
 	record := func(cores int) [][]trace.Op {
 		spec.Cores = cores
-		srcs, err := BuildSources(spec)
+		ops, err := BuildSources(spec)
 		if err != nil {
 			t.Fatal(err)
-		}
-		ops := make([][]trace.Op, len(srcs))
-		for i, s := range srcs {
-			ops[i] = trace.Record(s)
 		}
 		return ops
 	}
@@ -99,12 +95,16 @@ func TestKVShardStreamStableAcrossShardCounts(t *testing.T) {
 }
 
 // TestKVServeUncoreVariants: the partitioned counter cache and per-core
-// write queue configurations build, run, and drain.
+// write queue configurations build, run, and drain, at the largest
+// shard count and the most skewed theta whatever order the lists are
+// given in.
 func TestKVServeUncoreVariants(t *testing.T) {
 	cfg := config.Default()
 	o, ko := smallKVOpts()
 	on := true
 	ko.UncoreVariants = &on
+	ko.Shards = []int{2, 1}
+	ko.Thetas = []float64{0.99, 0}
 	res, err := KVServe(cfg, o, ko)
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +115,9 @@ func TestKVServeUncoreVariants(t *testing.T) {
 			variants++
 			if c.Requests == 0 {
 				t.Errorf("variant cell %+v ran no requests", c)
+			}
+			if c.Shards != 2 || c.Theta != 0.99 {
+				t.Errorf("uncore variant at %d shards, theta %v; want 2 shards, theta 0.99", c.Shards, c.Theta)
 			}
 		}
 	}

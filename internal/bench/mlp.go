@@ -3,6 +3,7 @@ package bench
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 
 	"supermem/internal/config"
@@ -68,7 +69,7 @@ func (mo MLPOpts) variants() []coreVariant {
 	for _, w := range mo.Widths {
 		vs = append(vs, coreVariant{model: config.CoreOoO, width: w})
 	}
-	maxW := mo.Widths[len(mo.Widths)-1]
+	maxW := slices.Max(mo.Widths)
 	for _, m := range mo.MSHRs {
 		if m == config.DefaultMSHREntries {
 			continue // the width axis already ran this point
@@ -155,35 +156,19 @@ func MLP(base config.Config, o Opts, mo MLPOpts) (*MLPResult, error) {
 	vs := mo.variants()
 	schemes := append([]config.Scheme{config.Unsec}, mo.Schemes...)
 
-	// The grid owns the core-model axis: clear any model knobs the
-	// caller's template carries so the in-order baseline is really
-	// in-order (Spec.config only overrides non-zero fields, so a
-	// template width would otherwise leak into it and fail validation)
+	// The grid owns the core-model axis: each variant sets every model
+	// knob on its template, so the in-order baseline is really in-order
 	// and every OoO variant sizes exactly the knobs it sweeps.
-	base.CoreModel = ""
-	base.CoreModels = [4]string{}
-	base.OoOWidth = 0
-	base.MSHREntries = 0
-	base.PrefetchDegree = 0
-
 	var cells []Spec
 	for _, v := range vs {
+		cfg := base
+		cfg.CoreModel = v.model
+		cfg.CoreModels = [4]string{}
+		cfg.OoOWidth = v.width
+		cfg.MSHREntries = v.mshrs
+		cfg.PrefetchDegree = v.degree
 		for _, sch := range schemes {
-			cells = append(cells, Spec{
-				Base:           base,
-				Workload:       mo.Workload,
-				Scheme:         sch,
-				TxBytes:        mo.TxBytes,
-				Transactions:   o.Transactions,
-				Warmup:         o.Warmup,
-				Cores:          1,
-				FootprintBytes: o.FootprintBytes,
-				Seed:           o.Seed,
-				CoreModel:      v.model,
-				OoOWidth:       v.width,
-				MSHREntries:    v.mshrs,
-				PrefetchDegree: v.degree,
-			})
+			cells = append(cells, o.spec(cfg, mo.Workload, sch, mo.TxBytes, 1))
 		}
 	}
 

@@ -65,6 +65,24 @@ func TestMLPDeterministic(t *testing.T) {
 	}
 }
 
+// TestMLPVariantsAtWidest: the MSHR and prefetch sweeps run at the
+// widest width, whatever order the widths are given in.
+func TestMLPVariantsAtWidest(t *testing.T) {
+	mo := MLPOpts{Widths: []int{4, 1}, MSHRs: []int{2}, PrefetchDegrees: []int{2}}.withDefaults()
+	swept := 0
+	for _, v := range mo.variants() {
+		if v.mshrs > 0 || v.degree > 0 {
+			swept++
+			if v.width != 4 {
+				t.Errorf("variant %+v: swept at width %d, want 4", v, v.width)
+			}
+		}
+	}
+	if swept != 2 {
+		t.Fatalf("got %d MSHR/prefetch variants, want 2", swept)
+	}
+}
+
 // TestMLPSharesTraces: the whole grid is one workload recording — every
 // cell after the first must hit the trace cache (the reason the model
 // knobs are unkeyed).

@@ -139,13 +139,9 @@ var unkeyedSpecFields = map[string]string{
 	"Base": "only Base.Banks and Base.MemBytes affect traces; keyed explicitly",
 	// The core timing model replays the recorded stream; trace
 	// generation runs the workload on the functional tracing backend and
-	// never sees the model or its sizing knobs. Keeping them unkeyed is
-	// the point: an MLP grid's model variants replay one recording.
-	"CoreModel":      "timing-only: traces are generated functionally",
-	"CoreModels":     "timing-only: traces are generated functionally",
-	"OoOWidth":       "timing-only: sizes the OoO model's issue window",
-	"MSHREntries":    "timing-only: sizes the OoO model's MSHR file",
-	"PrefetchDegree": "timing-only: sizes the OoO model's prefetcher",
+	// never sees the model. Keeping it unkeyed is the point: an MLP
+	// grid's model variants replay one recording.
+	"CoreModel": "timing-only: traces are generated functionally",
 }
 
 func keyOf(spec Spec) traceKey {
@@ -261,7 +257,7 @@ func (c *TraceCache) Sources(spec Spec) ([]trace.Source, error) {
 	if !ok {
 		c.misses.Add(1)
 		cacheMisses.Add(1)
-		e.ops, e.err = recordSources(spec)
+		e.ops, e.err = BuildSources(spec)
 		close(e.ready)
 	} else {
 		c.hits.Add(1)
@@ -271,24 +267,18 @@ func (c *TraceCache) Sources(spec Spec) ([]trace.Source, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	sources := make([]trace.Source, len(e.ops))
-	for i, ops := range e.ops {
-		sources[i] = trace.NewSliceSource(ops)
-	}
-	return sources, nil
+	return replaySources(e.ops), nil
 }
 
-// recordSources materializes a spec's per-core op streams.
-func recordSources(spec Spec) ([][]trace.Op, error) {
-	sources, err := BuildSources(spec)
-	if err != nil {
-		return nil, err
+// replaySources wraps recorded per-core op streams in fresh replay
+// sources (*trace.SliceSource); the streams themselves are shared, not
+// copied.
+func replaySources(ops [][]trace.Op) []trace.Source {
+	sources := make([]trace.Source, len(ops))
+	for i, o := range ops {
+		sources[i] = trace.NewSliceSource(o)
 	}
-	ops := make([][]trace.Op, len(sources))
-	for i, s := range sources {
-		ops[i] = trace.Record(s)
-	}
-	return ops, nil
+	return sources
 }
 
 // Package-wide cache counters, so the CLI can report per-experiment

@@ -162,10 +162,10 @@ func TestTraceKeySharesAcrossCoreModels(t *testing.T) {
 	a := kvSpec()
 	b := kvSpec()
 	b.CoreModel = config.CoreOoO
-	b.CoreModels[1] = config.CoreInOrder
-	b.OoOWidth = 8
-	b.MSHREntries = 16
-	b.PrefetchDegree = 4
+	b.Base.CoreModels[1] = config.CoreInOrder
+	b.Base.OoOWidth = 8
+	b.Base.MSHREntries = 16
+	b.Base.PrefetchDegree = 4
 	if keyOf(a) != keyOf(b) {
 		t.Fatalf("core-model variants should share a trace key:\n%q\n%q", keyOf(a), keyOf(b))
 	}

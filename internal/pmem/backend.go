@@ -122,9 +122,6 @@ func (b *TracingBackend) Lines() []uint64 {
 	return out
 }
 
-// Source returns the recorded stream as a trace source.
-func (b *TracingBackend) Source() trace.Source { return trace.NewSliceSource(b.ops.Flatten()) }
-
 // Mark helpers shared by the transaction layer.
 func mark(b Backend, op trace.Op) {
 	if m, ok := b.(Marker); ok {

@@ -140,13 +140,3 @@ func TestBackendAccessor(t *testing.T) {
 		t.Fatal("Backend() lost the backend")
 	}
 }
-
-func TestSourceReplaysOps(t *testing.T) {
-	b := NewTracingBackend()
-	b.Store(0, []byte("x"))
-	src := b.Source()
-	op, ok := src.Next()
-	if !ok || op.Kind != trace.Write {
-		t.Fatalf("Source first op = %v,%v", op, ok)
-	}
-}

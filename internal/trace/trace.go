@@ -104,26 +104,6 @@ func (s *SliceSource) Reset() { s.i = 0 }
 // Len returns the total number of ops.
 func (s *SliceSource) Len() int { return len(s.ops) }
 
-// Record drains a source into a slice (for inspection or encoding).
-// A *SliceSource is drained with one exact-size copy instead of
-// growing an output slice op by op.
-func Record(src Source) []Op {
-	if s, ok := src.(*SliceSource); ok {
-		out := make([]Op, len(s.ops)-s.i)
-		copy(out, s.ops[s.i:])
-		s.i = len(s.ops)
-		return out
-	}
-	var out []Op
-	for {
-		op, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, op)
-	}
-}
-
 const binaryMagic = "SMTR1\n"
 
 // WriteBinary encodes ops in the compact binary trace format.

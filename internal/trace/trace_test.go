@@ -26,9 +26,12 @@ func TestSliceSource(t *testing.T) {
 	if src.Len() != 7 {
 		t.Fatalf("Len = %d, want 7", src.Len())
 	}
-	got := Record(src)
+	var got []Op
+	for op, ok := src.Next(); ok; op, ok = src.Next() {
+		got = append(got, op)
+	}
 	if !reflect.DeepEqual(got, sampleOps()) {
-		t.Fatalf("Record = %v", got)
+		t.Fatalf("drained %v", got)
 	}
 	if _, ok := src.Next(); ok {
 		t.Fatal("exhausted source returned another op")
