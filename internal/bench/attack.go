@@ -72,10 +72,11 @@ type AttackOpts struct {
 	// Modes lists the crash-machine designs the crash loop targets;
 	// default {WTRegister, BMTLeaves}.
 	Modes []machine.Mode
-	// AttackerModel selects the attacker cores' timing model ("" =
-	// in-order; config.CoreOoO gives the adversary an out-of-order core
-	// with MSHRs). Victim cores always stay in-order, so the knob asks
-	// whether a better-provisioned attacker does more damage.
+	// AttackerModel selects the attacker cores' timing model ("" keeps
+	// the template's model; config.CoreOoO gives the adversary an
+	// out-of-order core with MSHRs). Victim cores always run in-order,
+	// so the knob asks whether a better-provisioned attacker does more
+	// damage.
 	AttackerModel string
 }
 
@@ -241,7 +242,7 @@ func attackExperiment() Experiment {
 			fs.IntVar(&ao.Steps, "attack-steps", 0, "measured attacker steps per timing cell for -exp attack (default 64)")
 			fs.IntVar(&ao.LoopIterations, "attack-loop", 0, "crash-loop iterations for -exp attack (default 6)")
 			fs.IntVar(&ao.RecoveryBound, "attack-bound", 0, "recovery-work bound of the mitigated crash-loop cells (default 16)")
-			fs.StringVar(&ao.AttackerModel, "attack-core", "", "attacker core timing model for -exp attack (inorder or ooo; victims stay in-order)")
+			fs.StringVar(&ao.AttackerModel, "attack-core", "", "attacker core timing model for -exp attack (inorder or ooo; default: the -core model; victims always run in-order)")
 		},
 		Run: func(cfg config.Config, o Opts) (Result, error) { return AttackSweep(cfg, o, ao) },
 	}
@@ -286,10 +287,18 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 		if mitigated {
 			cfg.WearRemapPeriod = ao.WearPeriod
 		}
+		// Victims run in-order: core 1 of the attack cell and the
+		// baseline's lone core 0. The attack cell's core 0 is the
+		// attacker.
+		cfg.CoreModels = [4]string{config.CoreInOrder, config.CoreInOrder}
 		if attack {
-			// Core 0 is the attacker; the victim on core 1 keeps the
-			// template's model.
 			cfg.CoreModels[0] = ao.AttackerModel
+		}
+		oooAttacker := attack && cfg.ModelFor(0) == config.CoreOoO
+		if !oooAttacker {
+			// No core here runs OoO, so none takes the OoO knobs
+			// (Validate rejects them on an all in-order system).
+			cfg.OoOWidth, cfg.MSHREntries, cfg.PrefetchDegree = 0, 0, 0
 		}
 		s := Spec{
 			Base:     cfg,
@@ -307,7 +316,7 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 		}
 		if attack {
 			flushes := 64
-			if ao.AttackerModel == config.CoreOoO {
+			if oooAttacker {
 				// An OoO attacker drains its fixed-length trace about
 				// width times faster than the in-order one; scale its
 				// per-step flush budget to match, or it finishes before

@@ -56,10 +56,11 @@ func TestAttackSweepDeterministic(t *testing.T) {
 }
 
 // TestAttackSweepOoOAttacker: the attacker-core-model knob runs the
-// adversary out of order while victims stay in-order; the sweep must
-// still complete with every mitigation engaging, and an OoO hot-bank
-// attacker must not do LESS damage than the in-order one it replaces
-// (its MSHRs overlap the flush storm's write-allocate reads).
+// adversary out of order while victims stay in-order, as an OoO
+// template with the knob unset does; the sweep must still complete
+// with every mitigation engaging, and an OoO hot-bank attacker must not
+// do LESS damage than the in-order one it replaces (its MSHRs overlap
+// the flush storm's write-allocate reads).
 func TestAttackSweepOoOAttacker(t *testing.T) {
 	o, ao := attackTestOpts()
 	base, err := AttackSweep(config.Default(), o, ao)
@@ -81,5 +82,27 @@ func TestAttackSweepOoOAttacker(t *testing.T) {
 		if c.VictimP99 < base.DoS[i].VictimP99 {
 			t.Logf("OoO attacker cell %d: victim p99 %d vs in-order %d", i, c.VictimP99, base.DoS[i].VictimP99)
 		}
+	}
+
+	// An OoO template with no attacker model must give the same
+	// artifact: the attacker takes the template's model and the victims
+	// still run in-order.
+	tmpl := config.Default()
+	tmpl.CoreModel = config.CoreOoO
+	ao.AttackerModel = ""
+	viaTemplate, err := AttackSweep(tmpl, o, ao)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(viaTemplate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("OoO template differs from an OoO attacker:\ntemplate: %s\nattacker: %s", got, want)
 	}
 }

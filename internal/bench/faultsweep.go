@@ -182,6 +182,14 @@ func mediaPlan(seed int64) (fault.Plan, error) {
 	})
 }
 
+// arrayCell is the one-core timing cell of the quarantine cell and the
+// integrity grid: array, 1 KB transactions after 8 warmup ones, a 1 MiB
+// footprint, seed 1.
+func arrayCell(base config.Config, scheme config.Scheme, transactions int) Spec {
+	o := Opts{Transactions: transactions, Warmup: 8, FootprintBytes: 1 << 20, Seed: 1}
+	return o.spec(base, "array", scheme, 1024, 1)
+}
+
 // faultSweepExperiment is the registry entry; -fault-seed picks the
 // plan seeds.
 func faultSweepExperiment() Experiment {
@@ -265,17 +273,7 @@ func quarantineCell() (QuarantineCell, error) {
 	cfg.ReadRetryBackoff = 16
 	cfg.BankQuarantineThreshold = 4
 
-	spec := Spec{
-		Base:           cfg,
-		Workload:       "array",
-		Scheme:         config.SuperMem,
-		TxBytes:        1024,
-		Transactions:   50,
-		Warmup:         8,
-		Cores:          1,
-		FootprintBytes: 1 << 20,
-		Seed:           1,
-	}
+	spec := arrayCell(cfg, config.SuperMem, 50)
 	streams, err := BuildSources(spec)
 	if err != nil {
 		return QuarantineCell{}, err

@@ -177,17 +177,7 @@ func integrityTiming(o IntegrityOpts) ([]IntegrityTimingCell, error) {
 	schemes := IntegritySchemes()
 	cells := make([]Spec, len(schemes))
 	for i, s := range schemes {
-		cells[i] = Spec{
-			Base:           config.Default(),
-			Workload:       "array",
-			Scheme:         s,
-			TxBytes:        1024,
-			Transactions:   o.Transactions,
-			Warmup:         8,
-			Cores:          1,
-			FootprintBytes: 1 << 20,
-			Seed:           1,
-		}
+		cells[i] = arrayCell(config.Default(), s, o.Transactions)
 	}
 	ms, err := NewRunner(o.Parallel).RunCells(cells)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"supermem/internal/config"
 	"supermem/internal/obs"
+	"supermem/internal/workload"
 )
 
 // runObserved runs a tiny Fig13 grid with full observability attached
@@ -106,5 +107,36 @@ func TestObsHistogramsPopulated(t *testing.T) {
 	}
 	if !(tx.Min <= tx.P50 && tx.P50 <= tx.P95 && tx.P95 <= tx.P99 && tx.P99 <= tx.Max) {
 		t.Errorf("quantiles out of order: %+v", tx)
+	}
+}
+
+// TestHistogramsCoverMeasuredTransactions: each core's histograms
+// restart at that core's own warmup end, like its metrics block, so in
+// a multi-core cell the per-core tx-latency counts sum to the measured
+// transactions and the -hist snapshot counts every one of them.
+func TestHistogramsCoverMeasuredTransactions(t *testing.T) {
+	o := Opts{Transactions: 20, FootprintBytes: 1 << 20, Seed: 1}
+	kv := o.spec(config.Default(), "kv", config.SuperMem, 256, 8)
+	kv.Transactions = 40
+	kv.CoreModel = config.CoreOoO
+	kv.KV = workload.KVConfig{Keys: 512, Theta: 0.99}
+	cells := []Spec{o.spec(config.Default(), "btree", config.SuperMem, 1024, 8), kv}
+	ms, recs, err := NewRunner(2).RunObserved(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range ms {
+		var sum uint64
+		for core := 0; core < cells[i].Cores; core++ {
+			if h := recs[i].CoreTxHist(core); h != nil {
+				sum += h.Count()
+			}
+		}
+		if sum != m.Transactions {
+			t.Errorf("%s: per-core tx histograms hold %d transactions, metrics measured %d", cells[i].Workload, sum, m.Transactions)
+		}
+		if got := recs[i].Snapshot().TxLatency.Count; got != m.Transactions {
+			t.Errorf("%s: tx_latency snapshot counts %d, metrics measured %d", cells[i].Workload, got, m.Transactions)
+		}
 	}
 }

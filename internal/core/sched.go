@@ -47,7 +47,7 @@ func (j *opJob) dispatch() {
 // ADR domain; charge the stall and move to the next group.
 func (j *opJob) Accepted(now uint64) {
 	j.c.m.WQStallCycles += now - j.at
-	j.s.rec.Observe(obs.HistWQStall, now-j.at)
+	j.s.rec.CoreObserve(j.c.id, obs.HistWQStall, now-j.at)
 	j.at = now
 	j.i++
 	j.dispatch()

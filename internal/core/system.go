@@ -335,24 +335,21 @@ func (s *System) noteTxEnd(c *coreState, now uint64) {
 	}
 	c.m.Transactions++
 	c.m.TxCycles += now - c.txStart
-	s.rec.Observe(obs.HistTxLatency, now-c.txStart)
-	s.rec.CoreObserve(c.id, now-c.txStart)
+	s.rec.CoreObserve(c.id, obs.HistTxLatency, now-c.txStart)
 	c.inTx = false
 }
 
 // noteReset records core c's trace.Reset (the model calls it from its
-// trace.Reset handling): the core's own metrics block restarts from
-// zero, and when every core has reset, the shared block is snapshotted
-// for warmup subtraction.
+// trace.Reset handling): the core's own metrics block and histograms
+// restart from zero, and when every core has reset, the shared block is
+// snapshotted for warmup subtraction. Series and trace events keep the
+// full timeline.
 func (s *System) noteReset(c *coreState) {
 	c.m = stats.Metrics{}
+	s.rec.ResetCore(c.id)
 	s.resetsSeen++
 	if s.resetsSeen == len(s.cores) {
 		s.warm = s.shared()
-		// Histograms report measured transactions only, mirroring
-		// the metric snapshot subtraction; series and trace events
-		// keep the full timeline.
-		s.rec.ResetHists()
 	}
 }
 
@@ -388,7 +385,7 @@ func (s *System) readPath(c *coreState, now, line uint64, fillDirty bool) (lat u
 		}
 	}
 	c.m.ReadStallCycles += readyAt - reqAt
-	s.rec.Observe(obs.HistReadStall, readyAt-reqAt)
+	s.rec.CoreObserve(c.id, obs.HistReadStall, readyAt-reqAt)
 	// Fill the hierarchy: L3 then L2 then L1.
 	if v, ev := s.l3.Fill(line, false); ev && v.Dirty {
 		s.persistLine(c, readyAt, v.Addr)

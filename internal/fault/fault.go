@@ -51,8 +51,6 @@ const (
 	// BankLatency makes accesses [Step, Step+count) on bank Target take
 	// extra service cycles (a latency spike, e.g. thermal throttling).
 	BankLatency
-
-	numKinds
 )
 
 var kindNames = map[Kind]string{
@@ -150,8 +148,8 @@ type Plan struct {
 	// Seed records the generating seed (informational; the schedule is
 	// fully explicit).
 	Seed int64 `json:"seed"`
-	// Injections is the schedule. Order is preserved by the codec;
-	// consumers sort by Step where they need to.
+	// Injections is the schedule in generation order; consumers sort
+	// by Step where they need to.
 	Injections []Injection `json:"injections,omitempty"`
 }
 

@@ -303,33 +303,3 @@ func TestPlanConfigValidate(t *testing.T) {
 		t.Errorf("empty config rejected: %v", err)
 	}
 }
-
-func TestCodecRejectsBadInput(t *testing.T) {
-	p, _ := Generate(PlanConfig{Seed: 1, Steps: 4, BitFlips: 1})
-	enc := EncodePlan(p)
-	for name, data := range map[string][]byte{
-		"empty":      {},
-		"bad magic":  append([]byte("XXXXX"), enc[5:]...),
-		"truncated":  enc[:len(enc)-1],
-		"trailing":   append(append([]byte{}, enc...), 0),
-		"bad kind":   mutate(enc, len(planMagic)+12, byte(numKinds)),
-		"count lies": mutate(enc, len(planMagic)+8, 2),
-	} {
-		if _, err := DecodePlan(data); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-	dec, err := DecodePlan(enc)
-	if err != nil {
-		t.Fatalf("valid plan rejected: %v", err)
-	}
-	if !plansEqual(p, dec) {
-		t.Fatalf("decode changed plan")
-	}
-}
-
-func mutate(b []byte, i int, v byte) []byte {
-	out := append([]byte{}, b...)
-	out[i] = v
-	return out
-}

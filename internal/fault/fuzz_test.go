@@ -1,47 +1,12 @@
 package fault
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
 
-// FuzzPlanCodec feeds arbitrary bytes to the plan decoder; any plan it
-// accepts must re-encode byte-identically (the codec is a fixed point
-// on its own output), and the re-encoding must decode to the same plan.
-func FuzzPlanCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte(planMagic))
-	f.Add(EncodePlan(Plan{Seed: 1}))
-	p, err := Generate(PlanConfig{Seed: 42, Steps: 16, BitFlips: 2, StuckAts: 1, TornWrites: 1, CtrFaults: 1, Banks: 8, BankFaults: 1, LatencySpikes: 1})
-	if err != nil {
-		f.Fatalf("Generate: %v", err)
-	}
-	f.Add(EncodePlan(p))
-	trunc := EncodePlan(p)
-	f.Add(trunc[:len(trunc)-3])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		plan, err := DecodePlan(data)
-		if err != nil {
-			return // rejected input: nothing to round-trip
-		}
-		enc := EncodePlan(plan)
-		plan2, err := DecodePlan(enc)
-		if err != nil {
-			t.Fatalf("decoding our own encoding: %v", err)
-		}
-		if !reflect.DeepEqual(plan, plan2) {
-			t.Fatalf("round trip changed plan:\n%+v\n%+v", plan, plan2)
-		}
-		if enc2 := EncodePlan(plan2); !bytes.Equal(enc, enc2) {
-			t.Fatalf("encoding is not a fixed point:\n%x\n%x", enc, enc2)
-		}
-	})
-}
-
 // FuzzGenerate treats arbitrary bytes as a packed PlanConfig; every
-// config the validator accepts must generate reproducibly and its plan
-// must survive the codec.
+// config the validator accepts must generate reproducibly.
 func FuzzGenerate(f *testing.F) {
 	f.Add(int64(1), uint16(8), uint8(2), uint8(1), uint8(1), uint8(1), uint8(3), uint8(2))
 	f.Add(int64(-7), uint16(1), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0))
@@ -62,25 +27,5 @@ func FuzzGenerate(f *testing.F) {
 		if !reflect.DeepEqual(p1, p2) {
 			t.Fatalf("Generate is not deterministic:\n%+v\n%+v", p1, p2)
 		}
-		dec, err := DecodePlan(EncodePlan(p1))
-		if err != nil {
-			t.Fatalf("decoding generated plan: %v", err)
-		}
-		if !plansEqual(p1, dec) {
-			t.Fatalf("generated plan changed through codec:\n%+v\n%+v", p1, dec)
-		}
 	})
-}
-
-// plansEqual compares plans treating nil and empty schedules alike.
-func plansEqual(a, b Plan) bool {
-	if a.Seed != b.Seed || len(a.Injections) != len(b.Injections) {
-		return false
-	}
-	for i := range a.Injections {
-		if a.Injections[i] != b.Injections[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"supermem/internal/config"
-	"supermem/internal/obs"
 )
 
 type line = [config.LineSize]byte
@@ -102,7 +101,6 @@ type Injector struct {
 	ctrPrev map[uint64]line
 
 	stats Stats
-	rec   *obs.Recorder
 }
 
 // NewInjector builds an injector for the plan's media injections under
@@ -125,21 +123,6 @@ func NewInjector(p Plan, ecc ECCConfig) *Injector {
 	sort.SliceStable(j.tornSched, func(a, b int) bool { return j.tornSched[a].Step < j.tornSched[b].Step })
 	sort.SliceStable(j.mediaSched, func(a, b int) bool { return j.mediaSched[a].Step < j.mediaSched[b].Step })
 	return j
-}
-
-// SetRecorder attaches an observability recorder (nil disables).
-func (j *Injector) SetRecorder(r *obs.Recorder) {
-	if j != nil {
-		j.rec = r
-	}
-}
-
-// ECC returns the profile the injector classifies reads under.
-func (j *Injector) ECC() ECCConfig {
-	if j == nil {
-		return ECCOff()
-	}
-	return j.ecc
 }
 
 // Stats returns a copy of the counters so far.
@@ -205,7 +188,6 @@ func (j *Injector) fire(in Injection, mem Memory) {
 		})
 		j.stats.Injected++
 		j.stats.BitFlips++
-		j.instant("inject bitflip", addr)
 	case StuckAt:
 		lines := mem.DataLines()
 		if len(lines) == 0 {
@@ -221,7 +203,6 @@ func (j *Injector) fire(in Injection, mem Memory) {
 		})
 		j.stats.Injected++
 		j.stats.StuckBits++
-		j.instant("inject stuckat", addr)
 	case CtrCorrupt:
 		pages := mem.CtrPages()
 		if len(pages) == 0 {
@@ -237,7 +218,6 @@ func (j *Injector) fire(in Injection, mem Memory) {
 		})
 		j.stats.Injected++
 		j.stats.CtrFlips++
-		j.instant("inject ctrflip", page)
 	case CtrReplay:
 		pages := mem.CtrPages()
 		if len(pages) == 0 {
@@ -254,7 +234,6 @@ func (j *Injector) fire(in Injection, mem Memory) {
 		j.shadowCtr[page] = prev
 		j.stats.Injected++
 		j.stats.CtrReplays++
-		j.instant("inject ctrreplay", page)
 	}
 }
 
@@ -284,7 +263,6 @@ func (j *Injector) WriteData(addr uint64, old, intended line) line {
 			}
 		}
 		j.stats.TornWrites++
-		j.instant("apply torn", addr)
 	}
 	for _, sb := range j.stuck[addr] {
 		setBit(&actual, sb.bit, sb.val)
@@ -323,7 +301,6 @@ func (j *Injector) ReadData(addr uint64, actual line) (line, Outcome) {
 		return sh, out
 	case Detected:
 		j.stats.DetectedReads++
-		j.instant("detect data", addr)
 	case Silent:
 		j.stats.SilentReads++
 	}
@@ -346,7 +323,6 @@ func (j *Injector) ReadCtr(page uint64, actual line) (line, Outcome) {
 		return sh, out
 	case Detected:
 		j.stats.CtrDetected++
-		j.instant("detect ctr", page)
 	case Silent:
 		j.stats.CtrSilent++
 	}
@@ -362,11 +338,6 @@ func (j *Injector) NoteCtrTreeDetect(page uint64) {
 		return
 	}
 	j.stats.CtrTreeDetected++
-	j.instant("tree detect ctr", page)
-}
-
-func (j *Injector) instant(name string, arg uint64) {
-	j.rec.InstantArg(obs.TrackFault, name, uint64(j.step), "addr", arg)
 }
 
 // flipBitsIn XORs the listed bit positions of a line.

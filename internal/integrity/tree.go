@@ -158,9 +158,6 @@ func (t *Tree) Clone() *Tree {
 	return &c
 }
 
-// Kind returns the tree's integrity design.
-func (t *Tree) Kind() scheme.IntegrityKind { return t.kind }
-
 // Stats returns a copy of the tree's counters (zero value for nil).
 func (t *Tree) Stats() Stats {
 	if t == nil {
@@ -168,12 +165,6 @@ func (t *Tree) Stats() Stats {
 	}
 	return t.stats
 }
-
-// Root returns the on-chip root register (digest, version).
-func (t *Tree) Root() (uint64, uint64) { return t.rootDigest, t.rootVersion }
-
-// Leaves returns the number of populated leaf slots.
-func (t *Tree) Leaves() int { return len(t.leaves) }
 
 // node reads a node; absent nodes are the zero Node, which is also the
 // digest contribution of a never-written child.

@@ -319,66 +319,3 @@ func TestNodeOrdinalDense(t *testing.T) {
 		}
 	}
 }
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	for _, d := range designs {
-		t.Run(d.name, func(t *testing.T) {
-			tr := New(d.kind, d.level, d.coalesce)
-			for page := uint64(0); page < 20; page++ {
-				l := lineWith(byte(page))
-				tr.Update(page*13, &l)
-			}
-			enc := tr.EncodeSnapshot()
-			dec, err := DecodeSnapshot(enc)
-			if err != nil {
-				t.Fatalf("decoding own snapshot: %v", err)
-			}
-			if !bytes.Equal(enc, dec.EncodeSnapshot()) {
-				t.Fatal("snapshot is not a fixed point of decode∘encode")
-			}
-			if !reflect.DeepEqual(tr.leaves, dec.leaves) {
-				t.Fatal("leaves changed through the codec")
-			}
-			rd, rv := tr.Root()
-			dd, dv := dec.Root()
-			if rd != dd || rv != dv {
-				t.Fatal("root register changed through the codec")
-			}
-			// The decoded image is the persisted state: it must pass the
-			// same recovery root check the machine performs at boot.
-			if _, ok := dec.Recovered(); !ok {
-				t.Fatal("decoded snapshot failed its recovery root check")
-			}
-		})
-	}
-}
-
-func TestSnapshotRejects(t *testing.T) {
-	tr := New(scheme.IntegrityBMT, scheme.TreeFull, false)
-	l := lineWith(5)
-	tr.Update(100, &l)
-	good := tr.EncodeSnapshot()
-
-	cases := map[string][]byte{
-		"empty":      {},
-		"bad magic":  []byte("SMITX" + string(good[5:])),
-		"truncated":  good[:len(good)-2],
-		"trailing":   append(append([]byte{}, good...), 0),
-		"bad kind":   mutate(good, 5, 9),
-		"bad level":  mutate(good, 6, 7),
-		"bad bool":   mutate(good, 7, 2),
-		"zero kind":  mutate(good, 5, 0),
-		"leaf count": mutate(good, 27, 0xFF), // leaf table larger than input
-	}
-	for name, data := range cases {
-		if _, err := DecodeSnapshot(data); err == nil {
-			t.Errorf("%s: decode accepted malformed snapshot", name)
-		}
-	}
-}
-
-func mutate(b []byte, at int, v byte) []byte {
-	out := append([]byte{}, b...)
-	out[at] = v
-	return out
-}

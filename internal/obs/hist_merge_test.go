@@ -102,19 +102,23 @@ func TestHistogramMergeEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCoreObserve: per-core histograms are independent, nil-safe, and
-// reset with the recorder's other histograms.
+// TestCoreObserve: per-core histograms are independent and nil-safe;
+// ResetCore clears only that core's histograms, never another core's or
+// a whole-run one; Snapshot merges the whole-run and per-core parts.
 func TestCoreObserve(t *testing.T) {
 	var nilRec *Recorder
-	nilRec.CoreObserve(3, 10) // must not panic
+	nilRec.CoreObserve(3, HistTxLatency, 10) // must not panic
+	nilRec.ResetCore(3)
 	if nilRec.CoreTxHist(3) != nil {
 		t.Fatal("nil recorder returned a core histogram")
 	}
 
 	r := NewRecorder(Options{Window: 100})
-	r.CoreObserve(2, 50)
-	r.CoreObserve(0, 5)
-	r.CoreObserve(2, 70)
+	r.CoreObserve(2, HistTxLatency, 50)
+	r.CoreObserve(0, HistTxLatency, 5)
+	r.CoreObserve(2, HistTxLatency, 70)
+	r.CoreObserve(2, HistReadStall, 9)
+	r.Observe(HistReadRetry, 1)
 	if h := r.CoreTxHist(1); h == nil || h.Count() != 0 {
 		t.Fatalf("untouched core 1 histogram: %v", h)
 	}
@@ -124,9 +128,19 @@ func TestCoreObserve(t *testing.T) {
 	if r.CoreTxHist(9) != nil {
 		t.Fatal("out-of-range core returned a histogram")
 	}
-	r.ResetHists()
+	if s := r.Snapshot(); s.TxLatency.Count != 3 || s.ReadStall.Count != 1 || s.ReadRetry.Count != 1 {
+		t.Fatalf("snapshot before reset: %+v", s)
+	}
+	r.ResetCore(2)
+	r.ResetCore(9) // a core that never recorded: no-op
 	if h := r.CoreTxHist(2); h.Count() != 0 {
-		t.Fatalf("core 2 count after ResetHists = %d, want 0", h.Count())
+		t.Fatalf("core 2 count after ResetCore(2) = %d, want 0", h.Count())
+	}
+	if h := r.CoreTxHist(0); h.Count() != 1 {
+		t.Fatalf("core 0 count after ResetCore(2) = %d, want 1", h.Count())
+	}
+	if s := r.Snapshot(); s.TxLatency.Count != 1 || s.ReadStall.Count != 0 || s.ReadRetry.Count != 1 {
+		t.Fatalf("snapshot after ResetCore(2): %+v", s)
 	}
 }
 
@@ -143,7 +157,7 @@ func TestRoleSplitOrderIndependent(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		core := i % cores
 		v := uint64(100*(core+1)) + uint64(rng.Intn(100))
-		r.CoreObserve(core, v)
+		r.CoreObserve(core, HistTxLatency, v)
 		direct[core].Observe(v)
 	}
 

@@ -110,8 +110,8 @@ type Options struct {
 // A nil *Recorder is the disabled recorder: every method no-ops.
 type Recorder struct {
 	window    uint64
-	hists     [numHists]Histogram
-	coreHists []Histogram // per-core tx-latency histograms (CoreObserve)
+	hists     [numHists]Histogram   // whole-run histograms (Observe)
+	coreHists [][numHists]Histogram // per-core histograms (CoreObserve)
 	series    [numSeries]series
 	banks     []series // per-bank busy-cycle accumulators
 	trace     *TraceBuffer
@@ -154,7 +154,9 @@ func (r *Recorder) TraceStats() (kept, dropped int) {
 	return r.trace.Len(), r.trace.Dropped()
 }
 
-// Observe records a value into a histogram.
+// Observe records a value into a whole-run histogram, one that no
+// core's warmup boundary clears (read retries, like the ReadRetries
+// counter they mirror).
 func (r *Recorder) Observe(h HistID, v uint64) {
 	if r == nil {
 		return
@@ -162,19 +164,37 @@ func (r *Recorder) Observe(h HistID, v uint64) {
 	r.hists[h].Observe(v)
 }
 
-// CoreObserve records a per-core transaction latency: the value lands in
-// core's own histogram, alongside the merged HistTxLatency the caller
-// records with Observe. Sharded experiments read the per-core histograms
-// back with CoreTxHist to report per-shard tails and to Merge them into
-// cross-shard quantiles.
-func (r *Recorder) CoreObserve(core int, v uint64) {
-	if r == nil {
+// CoreObserve records a value into core's own histogram h. ResetCore
+// clears them at the core's warmup boundary, as the core's metrics
+// block restarts there. Sharded experiments read the per-core
+// tx-latency histograms back with CoreTxHist to report per-shard tails
+// and to Merge them into cross-shard quantiles.
+func (r *Recorder) CoreObserve(core int, h HistID, v uint64) {
+	if r != nil {
+		r.coreObserve(core, h, v)
+	}
+}
+
+// coreObserve is CoreObserve's enabled path, kept out of line so the
+// nil check inlines into the core's read and write paths.
+//
+//go:noinline
+func (r *Recorder) coreObserve(core int, h HistID, v uint64) {
+	for len(r.coreHists) <= core {
+		r.coreHists = append(r.coreHists, [numHists]Histogram{})
+	}
+	r.coreHists[core][h].Observe(v)
+}
+
+// ResetCore clears core's histograms (at its trace.Reset), so they
+// cover only that core's measured transactions.
+func (r *Recorder) ResetCore(core int) {
+	if r == nil || core >= len(r.coreHists) {
 		return
 	}
-	for len(r.coreHists) <= core {
-		r.coreHists = append(r.coreHists, Histogram{})
+	for i := range r.coreHists[core] {
+		r.coreHists[core][i].Reset()
 	}
-	r.coreHists[core].Observe(v)
 }
 
 // CoreTxHist returns core's tx-latency histogram, or nil when that core
@@ -183,7 +203,7 @@ func (r *Recorder) CoreTxHist(core int) *Histogram {
 	if r == nil || core < 0 || core >= len(r.coreHists) {
 		return nil
 	}
-	return &r.coreHists[core]
+	return &r.coreHists[core][HistTxLatency]
 }
 
 // RoleSplit merges the per-core tx-latency histograms into an
@@ -207,9 +227,9 @@ func (r *Recorder) RoleSplit(attackers ...int) (attacker, victim Histogram) {
 	}
 	for core := range r.coreHists {
 		if isAttacker(core) {
-			attacker.Merge(&r.coreHists[core])
+			attacker.Merge(r.CoreTxHist(core))
 		} else {
-			victim.Merge(&r.coreHists[core])
+			victim.Merge(r.CoreTxHist(core))
 		}
 	}
 	return
@@ -306,21 +326,6 @@ func (r *Recorder) InstantArg(t Track, name string, ts uint64, k string, v uint6
 	r.trace.push(event{ph: 'i', name: name, tid: t, ts: ts, argK: k, argV: v})
 }
 
-// ResetHists clears the histograms (used at the warmup boundary so
-// reported quantiles cover only measured transactions, mirroring how
-// stats.Metrics are snapshot-subtracted).
-func (r *Recorder) ResetHists() {
-	if r == nil {
-		return
-	}
-	for i := range r.hists {
-		r.hists[i].Reset()
-	}
-	for i := range r.coreHists {
-		r.coreHists[i].Reset()
-	}
-}
-
 // Finish pins the end of simulated time (needed to finalize the last
 // partial window of gauge series).
 func (r *Recorder) Finish(endCycle uint64) {
@@ -340,16 +345,24 @@ type Snapshot struct {
 	ReadRetry HistSnapshot `json:"read_retry"`
 }
 
-// Snapshot summarises the recorder's histograms.
+// Snapshot summarises the recorder's histograms, each the merge of its
+// whole-run and per-core parts.
 func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
+	var merged [numHists]Histogram
+	for h := range merged {
+		merged[h].Merge(&r.hists[h])
+		for core := range r.coreHists {
+			merged[h].Merge(&r.coreHists[core][h])
+		}
+	}
 	return Snapshot{
-		TxLatency: r.hists[HistTxLatency].Snapshot(),
-		ReadStall: r.hists[HistReadStall].Snapshot(),
-		WQStall:   r.hists[HistWQStall].Snapshot(),
-		ReadRetry: r.hists[HistReadRetry].Snapshot(),
+		TxLatency: merged[HistTxLatency].Snapshot(),
+		ReadStall: merged[HistReadStall].Snapshot(),
+		WQStall:   merged[HistWQStall].Snapshot(),
+		ReadRetry: merged[HistReadRetry].Snapshot(),
 	}
 }
 

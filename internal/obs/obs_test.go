@@ -184,7 +184,8 @@ func TestNilRecorderNoOps(t *testing.T) {
 	r.AsyncEnd(TrackQueue, "a", 1, 1)
 	r.Instant(TrackRSR, "i", 0)
 	r.InstantArg(TrackRSR, "i", 0, "k", 1)
-	r.ResetHists()
+	r.CoreObserve(0, HistTxLatency, 1)
+	r.ResetCore(0)
 	r.Finish(10)
 	if r.Window() != 0 || r.TraceEnabled() {
 		t.Fatal("nil recorder reports enabled state")

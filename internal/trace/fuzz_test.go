@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// canonicalize zeroes the fields neither codec carries for a kind, so
+// canonicalize zeroes the fields the codec does not carry for a kind, so
 // constructed ops can be compared against a decode of their encoding.
 func canonicalize(ops []Op) []Op {
 	out := make([]Op, 0, len(ops))
@@ -84,33 +84,8 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzTextRoundTrip does the same for the human-readable codec.
-func FuzzTextRoundTrip(f *testing.F) {
-	f.Add([]byte(""))
-	f.Add([]byte("W 0x40\nSF\nC 5\nR 0x80\nTB\nTE\nRS\nF 0x1c0\n"))
-	f.Add([]byte("# comment\n\n  W 40\n"))
-	f.Add([]byte("W nothex\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, err := ReadText(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var enc bytes.Buffer
-		if err := WriteText(&enc, ops); err != nil {
-			t.Fatalf("WriteText: %v", err)
-		}
-		ops2, err := ReadText(bytes.NewReader(enc.Bytes()))
-		if err != nil {
-			t.Fatalf("parsing our own text output: %v", err)
-		}
-		if !reflect.DeepEqual(canonicalize(ops), canonicalize(ops2)) {
-			t.Fatalf("text round trip changed ops:\n%v\n%v", ops, ops2)
-		}
-	})
-}
-
 // FuzzOpsEncodeRoundTrip goes the other way: arbitrary op streams must
-// survive both codecs unchanged (up to the fields the formats carry).
+// survive the binary codec unchanged (up to the fields it carries).
 func FuzzOpsEncodeRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -124,18 +99,6 @@ func FuzzOpsEncodeRoundTrip(f *testing.F) {
 		}
 		if len(ops) != 0 && !reflect.DeepEqual(ops, got) {
 			t.Fatalf("binary encode/decode changed ops:\n%v\n%v", ops, got)
-		}
-
-		var txt bytes.Buffer
-		if err := WriteText(&txt, ops); err != nil {
-			t.Fatalf("WriteText: %v", err)
-		}
-		got, err = ReadText(bytes.NewReader(txt.Bytes()))
-		if err != nil {
-			t.Fatalf("ReadText: %v", err)
-		}
-		if len(ops) != 0 && !reflect.DeepEqual(ops, got) {
-			t.Fatalf("text encode/decode changed ops:\n%v\n%v", ops, got)
 		}
 	})
 }

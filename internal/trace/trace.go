@@ -1,8 +1,8 @@
 // Package trace defines the memory-operation stream a workload feeds
 // into the timing simulator: line-granular loads, stores and cache-line
-// flushes, fences, compute delays, and transaction markers. It also
-// provides binary and text codecs so op streams can be recorded and
-// replayed by cmd/supermem-trace.
+// flushes, fences, compute delays, and transaction markers. It has one
+// codec, the binary format cmd/supermem-trace records and replays; the
+// text format (WriteText, one Op.String per line) is dump output only.
 package trace
 
 import (
@@ -10,8 +10,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Kind enumerates operation types.
@@ -72,8 +70,9 @@ func (o Op) String() string {
 	}
 }
 
-// Source supplies a core's op stream one operation at a time, so
-// workloads never materialize whole traces unless recording.
+// Source supplies a core's op stream one operation at a time. Every
+// run records a core's whole stream first (bench.BuildSources, or a
+// trace file) and replays it through a SliceSource.
 type Source interface {
 	// Next returns the next op. ok is false when the stream ends.
 	Next() (op Op, ok bool)
@@ -97,9 +96,6 @@ func (s *SliceSource) Next() (Op, bool) {
 	s.i++
 	return op, true
 }
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.i = 0 }
 
 // Len returns the total number of ops.
 func (s *SliceSource) Len() int { return len(s.ops) }
@@ -182,7 +178,8 @@ func ReadBinary(r io.Reader) ([]Op, error) {
 	return ops, nil
 }
 
-// WriteText encodes ops in a line-oriented human-readable format.
+// WriteText writes ops one per line in their String form, for reading
+// by eye; nothing parses it back.
 func WriteText(w io.Writer, ops []Op) error {
 	bw := bufio.NewWriter(w)
 	for _, op := range ops {
@@ -191,63 +188,4 @@ func WriteText(w io.Writer, ops []Op) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadText parses the text format produced by WriteText.
-func ReadText(r io.Reader) ([]Op, error) {
-	var ops []Op
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		var op Op
-		switch fields[0] {
-		case "R", "W", "F":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("trace: line %d: %s needs an address", lineNo, fields[0])
-			}
-			addr, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "0x"), 16, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad address %q", lineNo, fields[1])
-			}
-			op.Addr = addr
-			switch fields[0] {
-			case "R":
-				op.Kind = Read
-			case "W":
-				op.Kind = Write
-			case "F":
-				op.Kind = Flush
-			}
-		case "SF":
-			op.Kind = Fence
-		case "C":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("trace: line %d: C needs a cycle count", lineNo)
-			}
-			arg, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad cycles %q", lineNo, fields[1])
-			}
-			op.Kind, op.Arg = Compute, arg
-		case "TB":
-			op.Kind = TxBegin
-		case "TE":
-			op.Kind = TxEnd
-		case "RS":
-			op.Kind = Reset
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown op %q", lineNo, fields[0])
-		}
-		ops = append(ops, op)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return ops, nil
 }

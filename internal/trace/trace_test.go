@@ -36,10 +36,6 @@ func TestSliceSource(t *testing.T) {
 	if _, ok := src.Next(); ok {
 		t.Fatal("exhausted source returned another op")
 	}
-	src.Reset()
-	if op, ok := src.Next(); !ok || op.Kind != TxBegin {
-		t.Fatal("Reset did not rewind")
-	}
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -113,47 +109,6 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteText(&buf, sampleOps()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sampleOps()) {
-		t.Fatalf("text round trip mismatch:\n%s\ngot %v", buf.String(), got)
-	}
-}
-
-func TestTextCommentsAndBlanks(t *testing.T) {
-	in := "# a comment\n\nR 0x40\n  \nSF\n"
-	got, err := ReadText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Op{{Kind: Read, Addr: 0x40}, {Kind: Fence}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-func TestTextErrors(t *testing.T) {
-	cases := []string{
-		"R",        // missing address
-		"R zz",     // bad address
-		"C",        // missing cycles
-		"C abc",    // bad cycles
-		"BOGUS 12", // unknown op
-	}
-	for _, in := range cases {
-		if _, err := ReadText(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadText accepted %q", in)
-		}
 	}
 }
 

@@ -448,13 +448,6 @@ var (
 // (seed included) always yields the identical schedule.
 func GenerateFaultPlan(c FaultPlanConfig) (FaultPlan, error) { return fault.Generate(c) }
 
-// EncodeFaultPlan serializes a plan in the stable binary codec
-// (fuzz-tested; see internal/fault).
-func EncodeFaultPlan(p FaultPlan) []byte { return fault.EncodePlan(p) }
-
-// DecodeFaultPlan parses a plan encoded by EncodeFaultPlan.
-func DecodeFaultPlan(data []byte) (FaultPlan, error) { return fault.DecodePlan(data) }
-
 // RunFault executes a workload on the byte-accurate crash machine with
 // the plan's media faults injected under the given ECC profile, a
 // crash armed at crashAt (negative: none) and a nested recovery crash
