@@ -136,6 +136,13 @@ func TestRegistryConformance(t *testing.T) {
 	if code := run(exps, []string{"-exp", "fig99"}); code != 2 {
 		t.Errorf("unknown -exp exit code %d, want 2", code)
 	}
+	// A misspelt per-experiment core model fails at flag parsing, before
+	// any cell is simulated, as -core does.
+	for _, args := range [][]string{{"-exp", "kv", "-kv-core", "bogus"}, {"-exp", "attack", "-attack-core", "bogus"}} {
+		if code := run(exps, args); code != 2 {
+			t.Errorf("%v exit code %d, want 2", args, code)
+		}
+	}
 }
 
 // fakeResult is a minimal Result for driving the loop.

@@ -242,7 +242,7 @@ func attackExperiment() Experiment {
 			fs.IntVar(&ao.Steps, "attack-steps", 0, "measured attacker steps per timing cell for -exp attack (default 64)")
 			fs.IntVar(&ao.LoopIterations, "attack-loop", 0, "crash-loop iterations for -exp attack (default 6)")
 			fs.IntVar(&ao.RecoveryBound, "attack-bound", 0, "recovery-work bound of the mitigated crash-loop cells (default 16)")
-			fs.StringVar(&ao.AttackerModel, "attack-core", "", "attacker core timing model for -exp attack (inorder or ooo; default: the -core model; victims always run in-order)")
+			fs.Func("attack-core", "attacker core timing model for -exp attack (inorder or ooo; default: the -core model; victims always run in-order)", coreModelFlag(&ao.AttackerModel))
 		},
 		Run: func(cfg config.Config, o Opts) (Result, error) { return AttackSweep(cfg, o, ao) },
 	}

@@ -186,3 +186,15 @@ func atLeast(min int) func(string) (int, error) {
 		return n, err
 	}
 }
+
+// coreModelFlag sets *dst to a flag's core-model name, refusing a name
+// config.Validate would, so a misspelling fails at flag parsing.
+func coreModelFlag(dst *string) func(string) error {
+	return func(s string) error {
+		if !config.ValidCoreModel(s) {
+			return fmt.Errorf("unknown core model %q (want %q or %q)", s, config.CoreInOrder, config.CoreOoO)
+		}
+		*dst = s
+		return nil
+	}
+}

@@ -145,7 +145,7 @@ func kvExperiment() Experiment {
 			fs.IntVar(&ko.TxBytes, "kv-tx", 0, "transaction/value sizing in bytes for -exp kv (default 256)")
 			fs.IntVar(&ko.ScanLen, "kv-scan", 0, "keys per scan request for -exp kv (default 16)")
 			fs.BoolVar(&uncore, "kv-uncore", true, "include the shared-vs-partitioned counter-cache and per-core write-queue cells in -exp kv")
-			fs.StringVar(&ko.CoreModel, "kv-core", "", "core timing model of the KV shard cores for -exp kv (inorder or ooo; default: -core)")
+			fs.Func("kv-core", "core timing model of the KV shard cores for -exp kv (inorder or ooo; default: -core)", coreModelFlag(&ko.CoreModel))
 		},
 		Run: func(cfg config.Config, o Opts) (Result, error) { return KVServe(cfg, o, ko) },
 	}

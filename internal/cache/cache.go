@@ -1,12 +1,11 @@
 // Package cache implements a generic set-associative write-back cache
-// with true-LRU replacement. It is used for the CPU cache levels
-// (L1/L2/L3) and for the memory controller's counter cache; it tracks
-// presence and dirtiness only — data contents live in the functional
-// machine model, not here.
+// with true-LRU replacement. internal/core uses it for the CPU cache
+// levels (L1/L2/L3) and for the memory controller's counter cache; it
+// tracks presence and dirtiness only — data contents live in the
+// functional machine model, not here.
 package cache
 
 import (
-	"fmt"
 	"math/bits"
 
 	"supermem/internal/config"
@@ -20,27 +19,21 @@ type Stats struct {
 	Writebacks uint64 // dirty victims displaced by fills
 }
 
-// HitRate returns hits/(hits+misses), or 0 for an untouched cache.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
-
 // Cache is a set-associative LRU cache keyed by line address.
+//
+// Ways are stored as flat per-field arrays indexed set*ways+way, so a
+// lookup reads one set's keys contiguously (an 8-way set is one 64-byte
+// host cache line) and touches the LRU and dirty state only on a hit.
 type Cache struct {
-	name     string
-	sets     [][]way
+	// keys[i] is the way's tag+1; 0 marks an invalid way, so validity
+	// costs no separate load.
+	keys  []uint64
+	used  []uint64 // LRU timestamp
+	dirty []bool
+
+	ways     int
 	setMask  uint64
+	setBits  uint
 	setShift uint
 	tick     uint64
 	stats    Stats
@@ -56,21 +49,17 @@ func New(name string, cfg config.CacheConfig) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
+	n := nsets * cfg.Ways
 	return &Cache{
-		name:     name,
-		sets:     sets,
+		keys:     make([]uint64, n),
+		used:     make([]uint64, n),
+		dirty:    make([]bool, n),
+		ways:     cfg.Ways,
 		setMask:  uint64(nsets - 1),
+		setBits:  uint(bits.TrailingZeros(uint(nsets))),
 		setShift: uint(bits.TrailingZeros(config.LineSize)),
 	}
 }
-
-// Name returns the cache's name (for diagnostics).
-func (c *Cache) Name() string { return c.name }
 
 // SetObserver installs a hook invoked with each Access outcome (nil
 // disables).
@@ -79,39 +68,35 @@ func (c *Cache) SetObserver(fn func(hit bool)) { c.observer = fn }
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// locate returns the first way index of addr's set and the key its
+// line would carry.
+func (c *Cache) locate(addr uint64) (base int, key uint64) {
 	line := addr >> c.setShift
-	return line & c.setMask, line >> uint(bits.TrailingZeros64(c.setMask+1))
+	return int(line&c.setMask) * c.ways, line>>c.setBits + 1
 }
 
-func (c *Cache) find(addr uint64) *way {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return &ws[i]
+// find returns the way index holding addr's line, or -1.
+func (c *Cache) find(addr uint64) int {
+	base, key := c.locate(addr)
+	for i, k := range c.keys[base : base+c.ways] {
+		if k == key {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Contains reports whether the line holding addr is present. It does not
 // update LRU state or statistics.
-func (c *Cache) Contains(addr uint64) bool { return c.find(addr) != nil }
-
-// Dirty reports whether the line holding addr is present and dirty.
-func (c *Cache) Dirty(addr uint64) bool {
-	w := c.find(addr)
-	return w != nil && w.dirty
-}
+func (c *Cache) Contains(addr uint64) bool { return c.find(addr) >= 0 }
 
 // Access looks up the line holding addr, updating LRU state and hit/miss
 // statistics. When write is true a hit marks the line dirty. It reports
 // whether the access hit. A miss does NOT fill the cache; callers decide
 // whether and how to fill (see Fill).
 func (c *Cache) Access(addr uint64, write bool) bool {
-	w := c.find(addr)
-	if w == nil {
+	i := c.find(addr)
+	if i < 0 {
 		c.stats.Misses++
 		if c.observer != nil {
 			c.observer(false)
@@ -120,9 +105,9 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	}
 	c.stats.Hits++
 	c.tick++
-	w.used = c.tick
+	c.used[i] = c.tick
 	if write {
-		w.dirty = true
+		c.dirty[i] = true
 	}
 	if c.observer != nil {
 		c.observer(true)
@@ -139,99 +124,53 @@ type Victim struct {
 // Fill inserts the line holding addr (marking it dirty if dirty is true).
 // If the set is full the LRU way is displaced and returned. Filling a
 // line that is already present just updates its dirty bit and LRU state.
+//
+// One pass over the set both looks the line up and picks the way to
+// fill: the first invalid way, else the first least-recently-used one.
 func (c *Cache) Fill(addr uint64, dirty bool) (v Victim, evicted bool) {
-	if w := c.find(addr); w != nil {
-		c.tick++
-		w.used = c.tick
-		if dirty {
-			w.dirty = true
+	base, key := c.locate(addr)
+	free, lru := -1, base
+	for i := base; i < base+c.ways; i++ {
+		switch k := c.keys[i]; {
+		case k == key:
+			c.tick++
+			c.used[i] = c.tick
+			if dirty {
+				c.dirty[i] = true
+			}
+			return Victim{}, false
+		case k == 0:
+			if free < 0 {
+				free = i
+			}
+		case c.used[i] < c.used[lru]:
+			lru = i
 		}
-		return Victim{}, false
 	}
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	victim := &ws[0]
-	for i := range ws {
-		if !ws[i].valid {
-			victim = &ws[i]
-			break
-		}
-		if ws[i].used < victim.used {
-			victim = &ws[i]
-		}
-	}
-	if victim.valid {
+	w := free
+	if w < 0 {
+		w = lru
 		evicted = true
-		v = Victim{Addr: c.addrOf(set, victim.tag), Dirty: victim.dirty}
+		set := addr >> c.setShift & c.setMask
+		v = Victim{Addr: ((c.keys[w]-1)<<c.setBits | set) << c.setShift, Dirty: c.dirty[w]}
 		c.stats.Evictions++
-		if victim.dirty {
+		if v.Dirty {
 			c.stats.Writebacks++
 		}
 	}
 	c.tick++
-	*victim = way{tag: tag, valid: true, dirty: dirty, used: c.tick}
+	c.keys[w], c.used[w], c.dirty[w] = key, c.tick, dirty
 	return v, evicted
-}
-
-func (c *Cache) addrOf(set, tag uint64) uint64 {
-	setBits := uint(bits.TrailingZeros64(c.setMask + 1))
-	return ((tag << setBits) | set) << c.setShift
 }
 
 // Clean clears the dirty bit of the line holding addr, if present. It
 // reports whether the line was present and dirty (i.e. whether the caller
 // now owns a writeback).
 func (c *Cache) Clean(addr uint64) bool {
-	w := c.find(addr)
-	if w == nil || !w.dirty {
+	i := c.find(addr)
+	if i < 0 || !c.dirty[i] {
 		return false
 	}
-	w.dirty = false
+	c.dirty[i] = false
 	return true
-}
-
-// Invalidate removes the line holding addr, returning whether it was
-// present and whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	w := c.find(addr)
-	if w == nil {
-		return false, false
-	}
-	present, dirty = true, w.dirty
-	*w = way{}
-	return present, dirty
-}
-
-// DirtyLines returns the addresses of all dirty lines, in no particular
-// order. Used by the functional machine to discard volatile state on a
-// crash and by write-back flush walks.
-func (c *Cache) DirtyLines() []uint64 {
-	var out []uint64
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			w := &c.sets[set][i]
-			if w.valid && w.dirty {
-				out = append(out, c.addrOf(uint64(set), w.tag))
-			}
-		}
-	}
-	return out
-}
-
-// Len returns the number of valid lines.
-func (c *Cache) Len() int {
-	n := 0
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			if c.sets[set][i].valid {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// String summarises the cache for diagnostics.
-func (c *Cache) String() string {
-	return fmt.Sprintf("%s{sets=%d ways=%d hits=%d misses=%d}", c.name, len(c.sets), len(c.sets[0]), c.stats.Hits, c.stats.Misses)
 }

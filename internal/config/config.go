@@ -121,9 +121,9 @@ const (
 	DefaultMSHREntries = 8
 )
 
-// validCoreModel reports whether name is a known core-model name ("" is
+// ValidCoreModel reports whether name is a known core-model name ("" is
 // the in-order default).
-func validCoreModel(name string) bool {
+func ValidCoreModel(name string) bool {
 	return name == "" || name == CoreInOrder || name == CoreOoO
 }
 
@@ -407,11 +407,11 @@ func (c Config) Validate() error {
 	if c.OverflowThrottlePeriod == 0 && c.OverflowThrottleBurst > 0 {
 		return fmt.Errorf("config: overflow throttle burst %d set with throttling disabled (period 0)", c.OverflowThrottleBurst)
 	}
-	if !validCoreModel(c.CoreModel) {
+	if !ValidCoreModel(c.CoreModel) {
 		return fmt.Errorf("config: unknown core model %q (want %q or %q)", c.CoreModel, CoreInOrder, CoreOoO)
 	}
 	for i, name := range c.CoreModels {
-		if !validCoreModel(name) {
+		if !ValidCoreModel(name) {
 			return fmt.Errorf("config: unknown core model %q for core %d (want %q or %q)", name, i, CoreInOrder, CoreOoO)
 		}
 	}

@@ -12,6 +12,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math"
 
 	"supermem/internal/arena"
 	"supermem/internal/nvm"
@@ -31,16 +32,25 @@ type Entry struct {
 // examines per pass.
 const issueWindow = 8
 
-type queued struct {
-	Entry
-	c      *Controller // owner, so a queued is its own retire event
-	bank   int         // cached BankOf(Addr)
-	issued bool
-	spanID uint64 // trace id for the admission..retirement async span
+// pend is one un-issued write-queue entry, held by value in the
+// controller's arrival-ordered array until it issues.
+type pend struct {
+	addr    uint64
+	spanID  uint64 // trace id for the admission..retirement async span
+	bank    int32  // the bank that services it, fixed at admission
+	counter bool
 }
 
-// Fire implements sim.EventObj: a queued entry's completion event is
-// the entry itself, so issuing a write allocates no event object.
+// queued is an issued entry: it holds what retire needs and is itself
+// the retire event, so issuing a write allocates no event object.
+type queued struct {
+	c       *Controller
+	bank    int
+	counter bool
+	spanID  uint64
+}
+
+// Fire implements sim.EventObj.
 func (q *queued) Fire(now uint64) { q.c.retire(now, q) }
 
 // retryEv is bank b's pre-allocated issue-retry event. All retry state
@@ -102,7 +112,15 @@ type Controller struct {
 	dev      *nvm.Device
 	capacity int
 	cwc      bool
-	queue    []*queued
+	// queue holds the un-issued entries in arrival order; an entry
+	// leaves it when it issues. issued counts the entries sent to
+	// their banks whose retire has not fired: they still occupy queue
+	// slots, so the occupancy is len(queue)+issued. queue is a view
+	// into buf, twice the capacity, so a removal can shift whichever
+	// side of the entry is shorter (see remove).
+	queue    []pend
+	buf      []pend
+	issued   int
 	waiters  []waiter
 	m        *stats.Metrics
 	draining bool
@@ -117,6 +135,12 @@ type Controller struct {
 	// counters), so that pass can tell in O(banks) whether scanning the
 	// queue tail could issue anything.
 	pending []int
+	// idleAt is a lower bound on the cycle at which a bank below 64
+	// with pending work next frees: before it the beyond-window pass
+	// has nothing to issue. Bank free times only grow, so the bound
+	// holds until an admit adds pending work to a bank that frees
+	// sooner, which lowers it.
+	idleAt uint64
 	// inflight[b]/writeDone[b]: whether bank b's current reservation is
 	// one of this controller's issued writes, and the cycle its retire
 	// fires. A retry armed for that same cycle would be redundant —
@@ -125,9 +149,10 @@ type Controller struct {
 	writeDone []uint64
 	rec       *obs.Recorder
 	nextID    uint64 // queue-entry span ids
-	// entryPool recycles queued objects (retire returns them) and
-	// retryEvs holds one pre-allocated retry event per bank, so the
-	// steady-state enqueue/issue/retire cycle performs zero allocations.
+	// entryPool recycles the queued retire events (retire returns
+	// them) and retryEvs holds one pre-allocated retry event per bank,
+	// so the steady-state enqueue/issue/retire cycle performs zero
+	// allocations.
 	entryPool arena.Pool[queued]
 	retryEvs  []retryEv
 
@@ -186,6 +211,8 @@ func New(eng *sim.Engine, dev *nvm.Device, capacity int, cwc bool, m *stats.Metr
 		failures:    make([]int, dev.Banks()),
 		quarantined: make([]bool, dev.Banks()),
 	}
+	c.buf = make([]pend, 2*capacity)
+	c.queue = c.buf[:0]
 	c.retryEvs = make([]retryEv, dev.Banks())
 	for b := range c.retryEvs {
 		c.retryEvs[b] = retryEv{c: c, bank: b}
@@ -213,8 +240,9 @@ func (c *Controller) SetWearLeveling(period uint64) { c.wearPeriod = period }
 // SetRecorder attaches an observability recorder (nil disables).
 func (c *Controller) SetRecorder(r *obs.Recorder) { c.rec = r }
 
-// Len returns the current write queue occupancy.
-func (c *Controller) Len() int { return len(c.queue) }
+// Len returns the current write queue occupancy: entries waiting to
+// issue plus entries in flight to their banks.
+func (c *Controller) Len() int { return len(c.queue) + c.issued }
 
 // Capacity returns the configured queue capacity.
 func (c *Controller) Capacity() int { return c.capacity }
@@ -242,35 +270,44 @@ func (c *Controller) EnqueueTo(now uint64, entries []Entry, accept Acceptor) err
 	if len(entries) == 0 || len(entries) > 2 {
 		return fmt.Errorf("memctrl: enqueue of %d entries; the register holds at most a data+counter pair", len(entries))
 	}
-	if len(c.waiters) == 0 && c.fits(entries) {
-		c.admit(now, entries)
-		accept.Accepted(now)
-		return nil
+	if len(c.waiters) == 0 {
+		if v, ok := c.fits(entries); ok {
+			c.admit(now, entries, v)
+			accept.Accepted(now)
+			return nil
+		}
 	}
 	c.waiters = append(c.waiters, waiter{entries: entries, accept: accept})
 	return nil
 }
 
+// victims holds, for each entry of a group, the queue index of the
+// un-issued counter entry CWC removes when the entry is admitted, or -1.
+type victims [2]int
+
 // fits reports whether entries can be admitted now, accounting for the
-// slots CWC would free.
-func (c *Controller) fits(entries []Entry) bool {
-	free := c.capacity - len(c.queue)
+// slots CWC would free, and returns each entry's CWC victim for admit.
+func (c *Controller) fits(entries []Entry) (v victims, ok bool) {
+	v = victims{-1, -1}
+	free := c.capacity - c.Len()
 	if c.cwc {
-		for _, e := range entries {
-			if e.Counter && c.findCoalescible(e.Addr) >= 0 {
-				free++
+		for k, e := range entries {
+			if e.Counter {
+				if v[k] = c.findCoalescible(e.Addr); v[k] >= 0 {
+					free++
+				}
 			}
 		}
 	}
-	return free >= len(entries)
+	return v, free >= len(entries)
 }
 
-// findCoalescible returns the index of a not-yet-issued counter entry
-// with the given address, or -1. The counter flag check makes the scan
-// cheap in hardware (only flagged entries are compared).
+// findCoalescible returns the index of the un-issued counter entry with
+// the given address, or -1. The counter flag check makes the scan cheap
+// in hardware (only flagged entries are compared).
 func (c *Controller) findCoalescible(addr uint64) int {
-	for i, q := range c.queue {
-		if q.Counter && !q.issued && q.Addr == addr {
+	for i := range c.queue {
+		if c.queue[i].counter && c.queue[i].addr == addr {
 			return i
 		}
 	}
@@ -285,25 +322,31 @@ func entrySpan(counter bool) string {
 	return "wq data"
 }
 
-// admit inserts entries, applying CWC removal first.
-func (c *Controller) admit(now uint64, entries []Entry) {
-	for _, e := range entries {
+// admit inserts entries, applying CWC removal first. v is fits' victim
+// lookup for the same entries.
+func (c *Controller) admit(now uint64, entries []Entry, v victims) {
+	for k, e := range entries {
 		if c.cwc && e.Counter {
-			if i := c.findCoalescible(e.Addr); i >= 0 {
+			i := v[k]
+			if k > 0 && entries[0].Counter {
+				// The group's first counter was removed and appended
+				// since fits looked; only such a group needs a second
+				// lookup.
+				i = c.findCoalescible(e.Addr)
+			}
+			if i >= 0 {
 				// Remove the superseded earlier counter write: the new
 				// line contains strictly newer contents (Figure 12),
 				// and removing the former rather than merging into it
 				// delays the write so more coalescing can happen.
 				victim := c.queue[i]
-				c.queue = append(c.queue[:i], c.queue[i+1:]...)
+				c.remove(i)
 				c.m.CoalescedWrites++
 				if c.rec != nil {
 					c.rec.Count(obs.SeriesCoalesced, now, 1)
 					c.rec.AsyncEnd(obs.TrackQueue, entrySpan(true), victim.spanID, now)
-					c.rec.InstantArg(obs.TrackQueue, "cwc remove", now, "addr", victim.Addr)
+					c.rec.InstantArg(obs.TrackQueue, "cwc remove", now, "addr", victim.addr)
 				}
-				// Never issued, so no retire event holds it: recycle.
-				c.entryPool.Put(victim)
 			}
 		}
 		home := c.dev.Layout().BankOf(e.Addr)
@@ -312,23 +355,31 @@ func (c *Controller) admit(now uint64, entries []Entry) {
 			c.m.WearRemappedWrites++
 			c.rec.Count(obs.SeriesWearRemaps, now, 1)
 		}
-		q := c.entryPool.Get()
-		*q = queued{Entry: e, c: c, bank: c.effBank(now, b)}
-		c.queue = append(c.queue, q)
+		p := pend{addr: e.Addr, bank: int32(c.effBank(now, b)), counter: e.Counter}
 		if !(c.cwc && e.Counter) {
-			c.pending[q.bank]++
+			c.pending[p.bank]++
+			if p.bank < 64 {
+				c.idleAt = min(c.idleAt, c.dev.BankFreeAt(int(p.bank)))
+			}
 		}
 		if c.rec != nil {
 			c.nextID++
-			q.spanID = c.nextID
-			c.rec.AsyncBegin(obs.TrackQueue, entrySpan(e.Counter), q.spanID, now)
+			p.spanID = c.nextID
+			c.rec.AsyncBegin(obs.TrackQueue, entrySpan(e.Counter), p.spanID, now)
 			if e.Counter {
 				c.rec.Count(obs.SeriesCtrEnqueues, now, 1)
 			}
 		}
+		if len(c.queue) == cap(c.queue) {
+			// The view reached the end of buf: slide it back to the
+			// front. With at most capacity entries in a buffer of
+			// twice that, this runs at most once per capacity appends.
+			c.queue = c.buf[:copy(c.buf, c.queue)]
+		}
+		c.queue = append(c.queue, p)
 	}
-	c.rec.Gauge(obs.SeriesWQOccupancy, now, float64(len(c.queue)))
-	if len(c.queue) > c.capacity {
+	c.rec.Gauge(obs.SeriesWQOccupancy, now, float64(c.Len()))
+	if c.Len() > c.capacity {
 		panic("memctrl: write queue over capacity")
 	}
 	c.tryIssue(now)
@@ -340,10 +391,11 @@ func (c *Controller) admit(now uint64, entries []Entry) {
 func (c *Controller) tryIssue(now uint64) {
 	// Update drain state: start at the high watermark or whenever a
 	// core is stalled on a full queue; stop at the low watermark.
-	if !c.draining && (len(c.queue) >= c.hiWM || len(c.waiters) > 0 || c.forced) {
+	n := c.Len()
+	if !c.draining && (n >= c.hiWM || len(c.waiters) > 0 || c.forced) {
 		c.draining = true
 	}
-	if c.draining && len(c.queue) <= c.loWM && len(c.waiters) == 0 && !c.forced {
+	if c.draining && n <= c.loWM && len(c.waiters) == 0 && !c.forced {
 		c.draining = false
 	}
 	if !c.draining {
@@ -355,28 +407,40 @@ func (c *Controller) tryIssue(now uint64) {
 	// the window while its line keeps being rewritten — the "delay the
 	// counter cache line write for merging more writes" of
 	// Section 3.4.3.
-	examined := 0
-	for i, q := range c.queue {
-		if q.issued {
+	//
+	// Each bank is visited once per pass: after its first window entry
+	// issues (the bank is then busy with it) or arms the bank's retry,
+	// a later entry on the same bank could only repeat that retry, so
+	// it is skipped. A bank past 63 has no bit in seen (the shift
+	// yields 0) and is simply visited again, to the same no-op effect.
+	// i walks the window; an issued entry leaves the queue and the next
+	// one slides into its index.
+	var seen uint64
+	i := 0
+	for k := min(issueWindow, len(c.queue)); k > 0; k-- {
+		b := c.queue[i].bank
+		bit := uint64(1) << uint(b)
+		if seen&bit != 0 {
+			i++
 			continue
 		}
-		if examined >= issueWindow {
-			// The window is exhausted with un-issued entries still
-			// behind it: without looking further, a write to an idle
-			// bank sitting just past the window would stall until a
-			// hot-bank retire advances the window — banks are
-			// independent, so let it through now. (Window entries on
-			// busy banks armed their retries above, so the window
-			// itself advances at the earliest BankFreeAt among them.)
-			c.issueBeyondWindow(now, i)
-			return
-		}
-		examined++
-		if !c.dev.BankFree(q.bank, now) {
-			c.scheduleRetry(q.bank)
+		seen |= bit
+		if !c.dev.BankFree(int(b), now) {
+			c.scheduleRetry(int(b))
+			i++
 			continue
 		}
-		c.issue(now, q)
+		c.issue(now, i)
+	}
+	if i < len(c.queue) {
+		// The window is exhausted with un-issued entries still behind
+		// it: without looking further, a write to an idle bank sitting
+		// just past the window would stall until a hot-bank retire
+		// advances the window — banks are independent, so let it
+		// through now. (Window entries on busy banks armed their
+		// retries above, so the window itself advances at the earliest
+		// BankFreeAt among them.)
+		c.issueBeyondWindow(now, i)
 	}
 }
 
@@ -394,40 +458,69 @@ func (c *Controller) issueBeyondWindow(now uint64, from int) {
 	// the in-window pass has already armed the bank retries that
 	// advance it, so no extra events are needed. (Banks beyond 64 never
 	// set a bit and conservatively wait for the window.)
-	var free uint64
-	for b, n := range c.pending {
-		if n > 0 && c.dev.BankFree(b, now) {
-			free |= 1 << uint(b)
-		}
-	}
-	if free == 0 {
+	if now < c.idleAt {
 		return
 	}
-	for _, q := range c.queue[from:] {
-		if q.issued || (c.cwc && q.Counter) {
+	var free uint64
+	next := uint64(math.MaxUint64)
+	for b, n := range c.pending[:min(len(c.pending), 64)] {
+		if n == 0 {
 			continue
 		}
-		if free&(1<<uint(q.bank)) == 0 {
-			continue
-		}
-		c.issue(now, q)
-		free &^= 1 << uint(q.bank)
-		if free == 0 {
-			return
+		if at := c.dev.BankFreeAt(b); at <= now {
+			free |= 1 << uint(b)
+		} else {
+			next = min(next, at)
 		}
 	}
+	for i := from; free != 0 && i < len(c.queue); {
+		p := &c.queue[i]
+		// A bank past 63 has no bit: the shift yields 0.
+		if (c.cwc && p.counter) || free&(1<<uint(p.bank)) == 0 {
+			i++
+			continue
+		}
+		b := int(p.bank)
+		free &^= 1 << uint(b)
+		c.issue(now, i)
+		if c.pending[b] > 0 {
+			next = min(next, c.dev.BankFreeAt(b))
+		}
+	}
+	// Every free bank found work here: the window pass leaves busy each
+	// bank it visits, so a free bank's pending entries all lie beyond
+	// the window. next is therefore the earliest a pending bank frees.
+	c.idleAt = next
 }
 
-// issue sends one queue entry to its (idle) bank.
-func (c *Controller) issue(now uint64, q *queued) {
-	q.issued = true
-	if !(c.cwc && q.Counter) {
-		c.pending[q.bank]--
+// remove deletes the un-issued entry at queue index i. Issues come
+// mostly from the window at the front, so shifting the shorter side
+// moves a few entries rather than the whole tail.
+func (c *Controller) remove(i int) {
+	q := c.queue
+	if i < len(q)/2 {
+		copy(q[1:i+1], q[:i])
+		c.queue = q[1:]
+		return
 	}
-	done := c.dev.WriteLineAt(now, q.bank)
-	c.inflight[q.bank] = true
-	c.writeDone[q.bank] = done
-	if q.Counter {
+	copy(q[i:], q[i+1:])
+	c.queue = q[:len(q)-1]
+}
+
+// issue sends the un-issued entry at queue index i to its (idle) bank.
+// The entry leaves the queue, and the entries behind it move up one
+// index; a pooled queued stands in for it until its retire fires.
+func (c *Controller) issue(now uint64, i int) {
+	p := c.queue[i]
+	c.remove(i)
+	b := int(p.bank)
+	if !(c.cwc && p.counter) {
+		c.pending[b]--
+	}
+	done := c.dev.WriteLineAt(now, b)
+	c.inflight[b] = true
+	c.writeDone[b] = done
+	if p.counter {
 		c.m.CounterWrites++
 	} else {
 		c.m.DataWrites++
@@ -446,6 +539,9 @@ func (c *Controller) issue(now uint64, q *queued) {
 			}
 		}
 	}
+	q := c.entryPool.Get()
+	*q = queued{c: c, bank: b, counter: p.counter, spanID: p.spanID}
+	c.issued++
 	c.eng.AtObj(done, q)
 }
 
@@ -467,25 +563,20 @@ func (c *Controller) scheduleRetry(bank int) {
 	c.eng.AtObj(freeAt, &c.retryEvs[bank])
 }
 
-// retire removes a completed entry from the queue, admits waiters that
-// now fit, and keeps the drain going.
+// retire frees a completed entry's queue slot, admits waiters that now
+// fit, and keeps the drain going.
 func (c *Controller) retire(now uint64, q *queued) {
 	if c.writeDone[q.bank] == now {
 		c.inflight[q.bank] = false
 	}
-	for i, e := range c.queue {
-		if e == q {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			if c.rec != nil {
-				c.rec.AsyncEnd(obs.TrackQueue, entrySpan(q.Counter), q.spanID, now)
-				c.rec.Gauge(obs.SeriesWQOccupancy, now, float64(len(c.queue)))
-			}
-			// q left the queue and its retire event has fired; nothing
-			// references it anymore, so it can be recycled.
-			c.entryPool.Put(q)
-			break
-		}
+	c.issued--
+	if c.rec != nil {
+		c.rec.AsyncEnd(obs.TrackQueue, entrySpan(q.counter), q.spanID, now)
+		c.rec.Gauge(obs.SeriesWQOccupancy, now, float64(c.Len()))
 	}
+	// q's retire event has fired and nothing else references it, so it
+	// can be recycled.
+	c.entryPool.Put(q)
 	// Admit stalled flushes in arrival order while they fit. Consume by
 	// index and compact afterwards instead of reslicing the front away:
 	// walking the slice forward strands its capacity, which made every
@@ -493,10 +584,14 @@ func (c *Controller) retire(now uint64, q *queued) {
 	// callback can append the op's next group reentrantly, so the length
 	// may grow mid-loop).
 	n := 0
-	for n < len(c.waiters) && c.fits(c.waiters[n].entries) {
+	for n < len(c.waiters) {
+		v, ok := c.fits(c.waiters[n].entries)
+		if !ok {
+			break
+		}
 		w := c.waiters[n]
 		n++
-		c.admit(now, w.entries)
+		c.admit(now, w.entries, v)
 		w.accept.Accepted(now)
 	}
 	if n > 0 {
@@ -616,7 +711,7 @@ func (c *Controller) effBank(now uint64, b int) int {
 
 // Drained reports whether the queue and waiters are empty (used by runs
 // to let the tail of the write stream complete).
-func (c *Controller) Drained() bool { return len(c.queue) == 0 && len(c.waiters) == 0 }
+func (c *Controller) Drained() bool { return c.Len() == 0 && len(c.waiters) == 0 }
 
 // Flush forces the controller to drain everything currently queued and
 // anything enqueued afterwards — the end-of-run write-back of a

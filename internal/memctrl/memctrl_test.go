@@ -170,6 +170,27 @@ func TestCWCRemovesSupersededCounter(t *testing.T) {
 	}
 }
 
+// TestCWCTwoCounterGroup admits a group of two counter lines: each
+// supersedes its un-issued predecessor as the queue stands when that
+// entry is admitted, after the first entry's removal and append.
+func TestCWCTwoCounterGroup(t *testing.T) {
+	r := newRig(t, 32, true)
+	x, y := r.ctr(1, 0), r.ctr(2, 0)
+	r.enq(0, x)
+	r.enq(0, y)
+	r.enq(0, x, y)
+	r.c.Flush(0)
+	r.eng.Run()
+	if r.m.CoalescedWrites != 2 || r.m.CounterWrites != 2 {
+		t.Fatalf("coalesced %d, counter writes %d; want 2 and 2", r.m.CoalescedWrites, r.m.CounterWrites)
+	}
+	for _, b := range []int{1, 2} {
+		if w := r.dev.Stats()[b].Writes; w != 1 {
+			t.Errorf("bank %d took %d writes, want 1: one survivor per line", b, w)
+		}
+	}
+}
+
 func TestCWCDoesNotCoalesceIssuedEntries(t *testing.T) {
 	r := newRig(t, 32, true)
 	ctrAddr := r.ctr(7, 0)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -179,5 +180,102 @@ func TestQuickOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spawner is a deterministic branching schedule: the event fired at
+// (at, seq) schedules children whose count and delays derive from seq
+// alone, a third of them on the firing cycle itself, so same-cycle
+// events are scheduled from inside Fire while earlier-scheduled items
+// are still due that cycle.
+type spawner struct {
+	budget int
+	fired  []item // (at, seq) in firing order
+}
+
+// children calls sched for each child of the event (at, seq), while
+// the budget lasts.
+func (s *spawner) children(at, seq uint64, sched func(at uint64)) {
+	s.fired = append(s.fired, item{at: at, seq: seq})
+	r := lcg(seq)
+	for n := r.delay() % 4; n > 0 && s.budget > 0; n-- {
+		s.budget--
+		switch d := r.delay(); d % 3 {
+		case 0:
+			sched(at)
+		case 1:
+			sched(at + d%4)
+		default:
+			sched(at + d)
+		}
+	}
+}
+
+// spawnEv is one engine event of a spawner schedule.
+type spawnEv struct {
+	s   *spawner
+	e   *Engine
+	seq uint64
+}
+
+func (v *spawnEv) Fire(now uint64) {
+	v.s.children(now, v.seq, func(at uint64) {
+		c := &spawnEv{s: v.s, e: v.e}
+		v.e.AtObj(at, c)
+		c.seq = v.e.seq
+	})
+}
+
+// TestSameCycleScheduleMatchesReference runs random branching schedules
+// through the engine and through the boxedHeap reference, and requires
+// the same firing order on (at, seq).
+func TestSameCycleScheduleMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		roots := make([]uint64, 40)
+		r := lcg(seed)
+		for i := range roots {
+			roots[i] = r.delay() % 8
+		}
+
+		got := &spawner{budget: 4000}
+		var e Engine
+		for _, at := range roots {
+			v := &spawnEv{s: got, e: &e}
+			e.AtObj(at, v)
+			v.seq = e.seq
+		}
+		e.Run()
+
+		want := &spawner{budget: 4000}
+		var h boxedHeap
+		var seq uint64
+		push := func(at uint64) {
+			seq++
+			heap.Push(&h, item{at: at, seq: seq})
+		}
+		for _, at := range roots {
+			push(at)
+		}
+		for h.Len() > 0 {
+			it := heap.Pop(&h).(item)
+			want.children(it.at, it.seq, push)
+		}
+
+		if len(got.fired) != len(want.fired) {
+			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(got.fired), len(want.fired))
+		}
+		same := 0
+		for i := range want.fired {
+			g, w := got.fired[i], want.fired[i]
+			if g.at != w.at || g.seq != w.seq {
+				t.Fatalf("seed %d: firing %d is (%d,%d), reference (%d,%d)", seed, i, g.at, g.seq, w.at, w.seq)
+			}
+			if i > 0 && w.at == want.fired[i-1].at {
+				same++
+			}
+		}
+		if same == 0 {
+			t.Fatalf("seed %d: no two events fired on one cycle", seed)
+		}
 	}
 }
