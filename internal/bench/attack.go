@@ -295,11 +295,6 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 			cfg.CoreModels[0] = ao.AttackerModel
 		}
 		oooAttacker := attack && cfg.ModelFor(0) == config.CoreOoO
-		if !oooAttacker {
-			// No core here runs OoO, so none takes the OoO knobs
-			// (Validate rejects them on an all in-order system).
-			cfg.OoOWidth, cfg.MSHREntries, cfg.PrefetchDegree = 0, 0, 0
-		}
 		s := Spec{
 			Base:     cfg,
 			Workload: "array",

@@ -71,13 +71,19 @@ type Spec struct {
 // config assembles the effective system configuration for the spec: the
 // base template with the spec's core count, scheme and core model
 // applied. Every run path (trace building, the system, the cell runner)
-// derives its configuration here so they can never disagree.
+// derives its configuration here so they can never disagree. A cell
+// whose cores all run in-order drops the template's OoO knobs (width,
+// MSHRs, prefetch degree), which no core of it would read and which
+// Validate rejects on such a system.
 func (s Spec) config() config.Config {
 	cfg := s.Base
 	cfg.Cores = s.Cores
 	cfg.Scheme = s.Scheme
 	if s.CoreModel != "" {
 		cfg.CoreModel = s.CoreModel
+	}
+	if !cfg.HasOoOCore() {
+		cfg.OoOWidth, cfg.MSHREntries, cfg.PrefetchDegree = 0, 0, 0
 	}
 	return cfg
 }

@@ -33,6 +33,34 @@ func TestRunProducesTransactions(t *testing.T) {
 	}
 }
 
+// TestInOrderSpecDropsOoOKnobs checks that a cell whose template pins
+// every core in-order but carries the OoO knobs (as the CLI's -ooo-width,
+// -mshrs and -prefetch set them on every experiment's template) builds
+// and runs exactly like the same cell without them, while a cell with an
+// OoO core keeps them.
+func TestInOrderSpecDropsOoOKnobs(t *testing.T) {
+	o := tinyOpts()
+	plain := tinyBase()
+	plain.CoreModels = [4]string{config.CoreInOrder, config.CoreInOrder}
+	knobs := plain
+	knobs.OoOWidth, knobs.MSHREntries, knobs.PrefetchDegree = 4, 8, 2
+	want, err := Run(o.spec(plain, "array", config.SuperMem, 256, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(o.spec(knobs, "array", config.SuperMem, 256, 2))
+	if err != nil {
+		t.Fatalf("in-order cell with OoO knobs: %v", err)
+	}
+	if got != want {
+		t.Fatalf("in-order cell with OoO knobs ran differently:\n got %+v\nwant %+v", got, want)
+	}
+	knobs.CoreModels[1] = config.CoreOoO
+	if cfg := o.spec(knobs, "array", config.SuperMem, 256, 2).config(); cfg.OoOWidth != 4 || cfg.MSHREntries != 8 || cfg.PrefetchDegree != 2 {
+		t.Fatalf("cell with an OoO core lost its knobs: width %d, MSHRs %d, prefetch %d", cfg.OoOWidth, cfg.MSHREntries, cfg.PrefetchDegree)
+	}
+}
+
 func TestWarmupExcludedFromWrites(t *testing.T) {
 	o := tinyOpts()
 	noWarm := o
@@ -214,4 +242,24 @@ func TestTable1MatchesPaper(t *testing.T) {
 	if len(s) == 0 {
 		t.Error("empty table rendering")
 	}
+}
+
+// BenchmarkBuildSources records one small 8-core cell's op streams: the
+// array workload at 1 KB transactions, 256 KiB per program, the trace
+// generation every grid cell's first scheme pays.
+func BenchmarkBuildSources(b *testing.B) {
+	spec := tinyOpts().spec(tinyBase(), "array", config.SuperMem, 1024, 8)
+	b.ReportAllocs()
+	var ops int
+	for i := 0; i < b.N; i++ {
+		streams, err := BuildSources(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops = 0
+		for _, s := range streams {
+			ops += len(s)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/trace-op")
 }

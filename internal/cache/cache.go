@@ -21,21 +21,22 @@ type Stats struct {
 
 // Cache is a set-associative LRU cache keyed by line address.
 //
-// Ways are stored as flat per-field arrays indexed set*ways+way, so a
-// lookup reads one set's keys contiguously (an 8-way set is one 64-byte
-// host cache line) and touches the LRU and dirty state only on a hit.
+// Each set keeps its ways in recency order, most recently used first,
+// in one flat array indexed set*ways+way: an 8-way set is one 64-byte
+// host cache line. An entry is (tag+1)<<1 | dirty, and 0 marks an
+// invalid way. A hit moves its way to the front; a fill of a missing
+// line shifts the set down by one and writes the line at the front, so
+// the last way is the least recently used. Nothing invalidates a way,
+// so invalid ways are always a suffix of their set: a lookup stops at
+// the first one, and a fill takes it before it evicts the last way,
+// which is the true-LRU policy of "the first invalid way, else the
+// least recently used one".
 type Cache struct {
-	// keys[i] is the way's tag+1; 0 marks an invalid way, so validity
-	// costs no separate load.
-	keys  []uint64
-	used  []uint64 // LRU timestamp
-	dirty []bool
-
+	lines    []uint64
 	ways     int
 	setMask  uint64
 	setBits  uint
 	setShift uint
-	tick     uint64
 	stats    Stats
 	// observer, if set, sees every Access outcome. The cache has no
 	// notion of simulated time, so observability wiring (per-window
@@ -49,11 +50,8 @@ func New(name string, cfg config.CacheConfig) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	n := nsets * cfg.Ways
 	return &Cache{
-		keys:     make([]uint64, n),
-		used:     make([]uint64, n),
-		dirty:    make([]bool, n),
+		lines:    make([]uint64, nsets*cfg.Ways),
 		ways:     cfg.Ways,
 		setMask:  uint64(nsets - 1),
 		setBits:  uint(bits.TrailingZeros(uint(nsets))),
@@ -68,34 +66,51 @@ func (c *Cache) SetObserver(fn func(hit bool)) { c.observer = fn }
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// locate returns the first way index of addr's set and the key its
-// line would carry.
-func (c *Cache) locate(addr uint64) (base int, key uint64) {
+// set returns the ways of addr's set and the entry its line would
+// carry, clean.
+func (c *Cache) set(addr uint64) (ways []uint64, key uint64) {
 	line := addr >> c.setShift
-	return int(line&c.setMask) * c.ways, line>>c.setBits + 1
+	base := int(line&c.setMask) * c.ways
+	return c.lines[base : base+c.ways], (line>>c.setBits + 1) << 1
 }
 
-// find returns the way index holding addr's line, or -1.
-func (c *Cache) find(addr uint64) int {
-	base, key := c.locate(addr)
-	for i, k := range c.keys[base : base+c.ways] {
-		if k == key {
-			return base + i
+// find returns the ways of addr's set and the index of its line there,
+// or -1.
+func (c *Cache) find(addr uint64) ([]uint64, int) {
+	ways, key := c.set(addr)
+	for i, e := range ways {
+		if e&^1 == key {
+			return ways, i
+		}
+		if e == 0 {
+			break
 		}
 	}
-	return -1
+	return ways, -1
+}
+
+// promote writes e at the front of ways, shifting ways[:i] down by one
+// over ways[i].
+func promote(ways []uint64, i int, e uint64) {
+	for ; i > 0; i-- {
+		ways[i] = ways[i-1]
+	}
+	ways[0] = e
 }
 
 // Contains reports whether the line holding addr is present. It does not
 // update LRU state or statistics.
-func (c *Cache) Contains(addr uint64) bool { return c.find(addr) >= 0 }
+func (c *Cache) Contains(addr uint64) bool {
+	_, i := c.find(addr)
+	return i >= 0
+}
 
 // Access looks up the line holding addr, updating LRU state and hit/miss
 // statistics. When write is true a hit marks the line dirty. It reports
 // whether the access hit. A miss does NOT fill the cache; callers decide
 // whether and how to fill (see Fill).
 func (c *Cache) Access(addr uint64, write bool) bool {
-	i := c.find(addr)
+	ways, i := c.find(addr)
 	if i < 0 {
 		c.stats.Misses++
 		if c.observer != nil {
@@ -104,11 +119,11 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		return false
 	}
 	c.stats.Hits++
-	c.tick++
-	c.used[i] = c.tick
+	e := ways[i]
 	if write {
-		c.dirty[i] = true
+		e |= 1
 	}
+	promote(ways, i, e)
 	if c.observer != nil {
 		c.observer(true)
 	}
@@ -124,53 +139,41 @@ type Victim struct {
 // Fill inserts the line holding addr (marking it dirty if dirty is true).
 // If the set is full the LRU way is displaced and returned. Filling a
 // line that is already present just updates its dirty bit and LRU state.
-//
-// One pass over the set both looks the line up and picks the way to
-// fill: the first invalid way, else the first least-recently-used one.
 func (c *Cache) Fill(addr uint64, dirty bool) (v Victim, evicted bool) {
-	base, key := c.locate(addr)
-	free, lru := -1, base
-	for i := base; i < base+c.ways; i++ {
-		switch k := c.keys[i]; {
-		case k == key:
-			c.tick++
-			c.used[i] = c.tick
-			if dirty {
-				c.dirty[i] = true
-			}
+	ways, key := c.set(addr)
+	if dirty {
+		key |= 1
+	}
+	for i, e := range ways {
+		switch {
+		case e&^1 == key&^1:
+			promote(ways, i, e|key)
 			return Victim{}, false
-		case k == 0:
-			if free < 0 {
-				free = i
-			}
-		case c.used[i] < c.used[lru]:
-			lru = i
+		case e == 0:
+			promote(ways, i, key)
+			return Victim{}, false
 		}
 	}
-	w := free
-	if w < 0 {
-		w = lru
-		evicted = true
-		set := addr >> c.setShift & c.setMask
-		v = Victim{Addr: ((c.keys[w]-1)<<c.setBits | set) << c.setShift, Dirty: c.dirty[w]}
-		c.stats.Evictions++
-		if v.Dirty {
-			c.stats.Writebacks++
-		}
+	last := len(ways) - 1
+	e := ways[last]
+	set := addr >> c.setShift & c.setMask
+	v = Victim{Addr: ((e>>1-1)<<c.setBits | set) << c.setShift, Dirty: e&1 != 0}
+	c.stats.Evictions++
+	if v.Dirty {
+		c.stats.Writebacks++
 	}
-	c.tick++
-	c.keys[w], c.used[w], c.dirty[w] = key, c.tick, dirty
-	return v, evicted
+	promote(ways, last, key)
+	return v, true
 }
 
 // Clean clears the dirty bit of the line holding addr, if present. It
 // reports whether the line was present and dirty (i.e. whether the caller
 // now owns a writeback).
 func (c *Cache) Clean(addr uint64) bool {
-	i := c.find(addr)
-	if i < 0 || !c.dirty[i] {
+	ways, i := c.find(addr)
+	if i < 0 || ways[i]&1 == 0 {
 		return false
 	}
-	c.dirty[i] = false
+	ways[i] &^= 1
 	return true
 }

@@ -9,17 +9,17 @@ import (
 )
 
 // dirtyAt reports whether addr's line is present and dirty, reading
-// the way arrays directly so the check leaves LRU state alone.
+// its set directly so the check leaves LRU state alone.
 func dirtyAt(c *Cache, addr uint64) bool {
-	i := c.find(addr)
-	return i >= 0 && c.dirty[i]
+	ways, i := c.find(addr)
+	return i >= 0 && ways[i]&1 != 0
 }
 
 // validLines counts the cache's valid ways.
 func validLines(c *Cache) int {
 	n := 0
-	for _, k := range c.keys {
-		if k != 0 {
+	for _, e := range c.lines {
+		if e != 0 {
 			n++
 		}
 	}
@@ -187,8 +187,8 @@ func TestSetIsolation(t *testing.T) {
 }
 
 // refCache is a reference LRU model laid out as an array of way
-// structs per set, the straightforward form the flat per-field arrays
-// must agree with.
+// structs per set with LRU stamps, the straightforward form the
+// recency-ordered sets must agree with.
 type refCache struct {
 	sets  [][]refWay
 	nsets uint64

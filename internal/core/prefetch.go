@@ -85,7 +85,7 @@ func (p *prefetcher) issue(t, line uint64) bool {
 	// Ride the counter line along so a later demand miss finds its OTP
 	// material in flight too (counter+data prefetch). Best-effort: a
 	// full file drops only the counter half.
-	if s.cfg.Scheme.Encrypted() {
+	if s.encrypted {
 		ctrAddr := s.layout.CounterLineAddr(line, s.placement)
 		if !c.ctrCache.Contains(ctrAddr) {
 			c.mem.tryPrefetch(t, ctrAddr)

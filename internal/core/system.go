@@ -55,6 +55,12 @@ type System struct {
 	rec   *obs.Recorder
 
 	placement config.Placement
+	// The scheme's persist policy, read once here rather than from the
+	// scheme registry on every access: encrypted schemes fetch a
+	// counter per read and persist; write-through schemes persist it
+	// with every data write, and selective-atomicity ones only with
+	// flushes.
+	encrypted, writeThrough, selectiveAtomicity bool
 	// ctrInterval is the scheme's counter-persist interval: 1 persists
 	// the counter with every write-through data write; > 1 (Osiris's
 	// stop-loss) enqueues the counter only when the line's minor counter
@@ -130,10 +136,13 @@ func NewSystem(cfg config.Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:         cfg,
-		eng:         &sim.Engine{},
-		placement:   cfg.Placement(),
-		ctrInterval: cfg.Scheme.CounterPersistInterval(),
+		cfg:                cfg,
+		eng:                &sim.Engine{},
+		placement:          cfg.Placement(),
+		encrypted:          cfg.Scheme.Encrypted(),
+		writeThrough:       cfg.Scheme.WriteThrough(),
+		selectiveAtomicity: cfg.Scheme.SelectiveAtomicity(),
+		ctrInterval:        cfg.Scheme.CounterPersistInterval(),
 	}
 	s.dev = nvm.NewDevice(cfg)
 	s.layout = s.dev.Layout()
@@ -378,7 +387,7 @@ func (s *System) readPath(c *coreState, now, line uint64, fillDirty bool) (lat u
 	reqAt := now + lat
 	dataDone := c.mem.readLine(reqAt, line)
 	readyAt := dataDone
-	if s.cfg.Scheme.Encrypted() {
+	if s.encrypted {
 		ctrReady := s.counterForRead(c, reqAt, line)
 		if otpReady := ctrReady + s.cfg.AESCycles; otpReady > readyAt {
 			readyAt = otpReady
@@ -450,15 +459,14 @@ func (s *System) persistLatency(c *coreState, t, line uint64) uint64 {
 // configured scheme to the core's group buffer. charge controls whether
 // counter-fetch and AES latency are core-visible.
 func (s *System) securePersist(c *coreState, t, line uint64, charge bool) (lat uint64) {
-	if !s.cfg.Scheme.Encrypted() {
+	if !s.encrypted {
 		c.gb.add1(memctrl.Entry{Addr: line})
 		return 0
 	}
 	// Write-through schemes persist the counter with every data write;
 	// the SCA extension does so only on the flush path (charge=true is
 	// the flush path), leaving eviction counters dirty in the cache.
-	writeThrough := s.cfg.Scheme.WriteThrough() ||
-		(s.cfg.Scheme.SelectiveAtomicity() && charge)
+	writeThrough := s.writeThrough || (s.selectiveAtomicity && charge)
 	ctrAddr := s.layout.CounterLineAddr(line, s.placement)
 
 	// Locate the counter line; fetch it from NVM on a miss.

@@ -110,6 +110,7 @@ type waiter struct {
 type Controller struct {
 	eng      *sim.Engine
 	dev      *nvm.Device
+	layout   nvm.Layout // dev's address map, to find each entry's bank
 	capacity int
 	cwc      bool
 	// queue holds the un-issued entries in arrival order; an entry
@@ -197,6 +198,7 @@ func New(eng *sim.Engine, dev *nvm.Device, capacity int, cwc bool, m *stats.Metr
 	c := &Controller{
 		eng:       eng,
 		dev:       dev,
+		layout:    dev.Layout(),
 		capacity:  capacity,
 		cwc:       cwc,
 		m:         m,
@@ -349,7 +351,7 @@ func (c *Controller) admit(now uint64, entries []Entry, v victims) {
 				}
 			}
 		}
-		home := c.dev.Layout().BankOf(e.Addr)
+		home := c.layout.BankOf(e.Addr)
 		b := c.wearBank(home)
 		if b != home {
 			c.m.WearRemappedWrites++
@@ -617,7 +619,7 @@ func (c *Controller) retire(now uint64, q *queued) {
 // partner bank.
 func (c *Controller) ReadLine(now, addr uint64) (done uint64) {
 	c.m.NVMReads++
-	bank := c.effBank(now, c.wearBank(c.dev.Layout().BankOf(addr)))
+	bank := c.effBank(now, c.wearBank(c.layout.BankOf(addr)))
 	at := now
 	retries := uint64(0)
 	for attempt := 1; ; attempt++ {

@@ -54,12 +54,13 @@ func LineAddr(addr uint64) uint64 { return addr &^ (config.LineSize - 1) }
 
 // BankOf returns the bank a physical address maps to. Data addresses use
 // the contiguous-region mapping; counter addresses decode the bank that
-// was encoded by CounterLineAddr.
+// was encoded by CounterLineAddr (config.Validate makes the bank count a
+// power of two, so the decode is a mask).
 func (l Layout) BankOf(addr uint64) int {
 	if addr < l.DataBytes {
 		return int(addr / l.BankBytes)
 	}
-	return int(((addr - l.CtrBase) / config.LineSize) % uint64(l.Banks))
+	return int((addr - l.CtrBase) / config.LineSize & uint64(l.Banks-1))
 }
 
 // IsCounter reports whether addr lies in the counter region.

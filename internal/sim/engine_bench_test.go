@@ -1,26 +1,38 @@
 package sim
 
 import (
-	"container/heap"
+	"fmt"
 	"testing"
 )
 
-// benchPattern drives an engine-like scheduler the way the memory model
-// does: a moving window of pending events where each fired event
-// schedules a successor at a pseudo-random delay.
-const benchWindow = 64
-
-// lcg is the benchmarks' pseudo-random delay source.
+// lcg is the tests' and benchmarks' pseudo-random source.
 type lcg uint64
 
-// delay returns the next delay, uniform-ish in [1, 600].
-func (r *lcg) delay() uint64 {
+func (r *lcg) next() uint64 {
 	*r = *r*6364136223846793005 + 1442695040888963407
-	return uint64(*r)>>33%600 + 1
+	return uint64(*r) >> 33
+}
+
+// delay returns the next delay, uniform-ish in [1, 600].
+func (r *lcg) delay() uint64 { return r.next()%600 + 1 }
+
+// mixDelay returns the next delay from the mix the paper's grids
+// schedule: 18% on the current cycle, 40% within 4 cycles, and the rest
+// spread up to 1024 cycles.
+func (r *lcg) mixDelay() uint64 {
+	x := r.next()
+	switch p := x % 100; {
+	case p < 18:
+		return 0
+	case p < 40:
+		return x/100%4 + 1
+	default:
+		return x/100%1020 + 5
+	}
 }
 
 // benchEv is one self-rescheduling event object standing in for every
-// event of the window, until n events have fired in total.
+// pending event, until n events have fired in total.
 type benchEv struct {
 	e        *Engine
 	rng      lcg
@@ -30,94 +42,27 @@ type benchEv struct {
 func (c *benchEv) Fire(now uint64) {
 	c.fired++
 	if c.fired < c.n {
-		c.e.AtObj(now+c.rng.delay(), c)
+		c.e.AtObj(now+c.rng.mixDelay(), c)
 	}
 }
 
+// BenchmarkEngine holds a fixed number of events pending, each fired
+// event scheduling one successor at a mixDelay, and reports the cost per
+// fired event. The sizes span the mean pending counts of the benchmark
+// workloads (about 2 on paper-1c, 9 on paper-8p, 13 on kv-zipf) and the
+// most a CI-scale run ever holds (31).
 func BenchmarkEngine(b *testing.B) {
-	var e Engine
-	c := &benchEv{e: &e, rng: 1, n: b.N}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < benchWindow && i < b.N; i++ {
-		e.AtObj(c.rng.delay(), c)
-	}
-	e.Run()
-}
-
-// boxedHeap is the pre-optimization event queue (container/heap over
-// interface{}), kept as a reference implementation: BenchmarkEngine vs
-// BenchmarkBoxedHeapBaseline shows the allocation removed per scheduled
-// event by the typed heap.
-type boxedHeap []item
-
-func (h boxedHeap) Len() int            { return len(h) }
-func (h boxedHeap) Less(i, j int) bool  { return h[i].less(h[j]) }
-func (h boxedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *boxedHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *boxedHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// boxedEv is benchEv scheduling onto a boxedHeap.
-type boxedEv struct {
-	h        *boxedHeap
-	rng      lcg
-	seq      uint64
-	fired, n int
-}
-
-func (c *boxedEv) push(at uint64) {
-	c.seq++
-	heap.Push(c.h, item{at: at, seq: c.seq, obj: c})
-}
-
-func (c *boxedEv) Fire(now uint64) {
-	c.fired++
-	if c.fired < c.n {
-		c.push(now + c.rng.delay())
-	}
-}
-
-func BenchmarkBoxedHeapBaseline(b *testing.B) {
-	var h boxedHeap
-	c := &boxedEv{h: &h, rng: 1, n: b.N}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < benchWindow && i < b.N; i++ {
-		c.push(c.rng.delay())
-	}
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(item)
-		it.obj.Fire(it.at)
-	}
-}
-
-// TestHeapMatchesContainerHeap cross-checks the typed heap's pop order
-// against container/heap on a long pseudo-random schedule.
-func TestHeapMatchesContainerHeap(t *testing.T) {
-	var typed eventHeap
-	var boxed boxedHeap
-	rng := uint64(42)
-	for seq := uint64(0); seq < 5000; seq++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		it := item{at: rng >> 33 % 997, seq: seq, obj: nopEv{}}
-		typed.push(it)
-		heap.Push(&boxed, it)
-	}
-	for i := 0; boxed.Len() > 0; i++ {
-		want := heap.Pop(&boxed).(item)
-		got := typed.pop()
-		if got.at != want.at || got.seq != want.seq {
-			t.Fatalf("pop %d: typed heap = (%d,%d), container/heap = (%d,%d)",
-				i, got.at, got.seq, want.at, want.seq)
-		}
-	}
-	if len(typed) != 0 {
-		t.Fatalf("typed heap has %d leftover items", len(typed))
+	for _, pending := range []int{2, 9, 13, 31} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			var e Engine
+			c := &benchEv{e: &e, rng: 1, n: b.N}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < pending && i < b.N; i++ {
+				e.AtObj(c.rng.mixDelay(), c)
+			}
+			e.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -183,47 +184,114 @@ func TestQuickOrdering(t *testing.T) {
 	}
 }
 
+// refItem is one pending event of the reference queue.
+type refItem struct{ at, seq uint64 }
+
+// boxedHeap is the reference event queue: container/heap ordered by
+// (time, scheduling order), the firing order the engine must keep.
+type boxedHeap []refItem
+
+func (h boxedHeap) Len() int { return len(h) }
+func (h boxedHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h boxedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *boxedHeap) Push(x interface{}) { *h = append(*h, x.(refItem)) }
+func (h *boxedHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
+}
+
 // spawner is a deterministic branching schedule: the event fired at
 // (at, seq) schedules children whose count and delays derive from seq
 // alone, a third of them on the firing cycle itself, so same-cycle
 // events are scheduled from inside Fire while earlier-scheduled items
-// are still due that cycle.
+// are still due that cycle. Events are numbered in scheduling order, so
+// the engine and the reference make the same calls for as long as they
+// fire in the same order.
 type spawner struct {
 	budget int
-	fired  []item // (at, seq) in firing order
+	seq    uint64
+	firing bool
+	fired  []refItem // (at, seq) in firing order
+	// push queues the event (at, seq) on the queue under test.
+	push func(at, seq uint64)
 }
 
-// children calls sched for each child of the event (at, seq), while
+// schedule numbers a new event and queues it.
+func (s *spawner) schedule(at uint64) {
+	s.seq++
+	s.push(at, s.seq)
+}
+
+// fire records the event (at, seq) and schedules its children while
 // the budget lasts.
-func (s *spawner) children(at, seq uint64, sched func(at uint64)) {
-	s.fired = append(s.fired, item{at: at, seq: seq})
+func (s *spawner) fire(at, seq uint64) {
+	s.fired = append(s.fired, refItem{at: at, seq: seq})
+	s.firing = true
 	r := lcg(seq)
 	for n := r.delay() % 4; n > 0 && s.budget > 0; n-- {
 		s.budget--
 		switch d := r.delay(); d % 3 {
 		case 0:
-			sched(at)
+			s.schedule(at)
 		case 1:
-			sched(at + d%4)
+			s.schedule(at + d%4)
 		default:
-			sched(at + d)
+			s.schedule(at + d)
 		}
 	}
+	s.firing = false
 }
 
 // spawnEv is one engine event of a spawner schedule.
 type spawnEv struct {
 	s   *spawner
-	e   *Engine
 	seq uint64
 }
 
-func (v *spawnEv) Fire(now uint64) {
-	v.s.children(now, v.seq, func(at uint64) {
-		c := &spawnEv{s: v.s, e: v.e}
-		v.e.AtObj(at, c)
-		c.seq = v.e.seq
-	})
+func (v *spawnEv) Fire(now uint64) { v.s.fire(now, v.seq) }
+
+// engineSpawner returns a spawner that schedules onto e.
+func engineSpawner(e *Engine, budget int) *spawner {
+	s := &spawner{budget: budget}
+	s.push = func(at, seq uint64) { e.AtObj(at, &spawnEv{s: s, seq: seq}) }
+	return s
+}
+
+// refSpawner returns a spawner that schedules onto h.
+func refSpawner(h *boxedHeap, budget int) *spawner {
+	s := &spawner{budget: budget}
+	s.push = func(at, seq uint64) { heap.Push(h, refItem{at: at, seq: seq}) }
+	return s
+}
+
+// runRef fires the reference's events due at or before deadline.
+func runRef(s *spawner, h *boxedHeap, deadline uint64) {
+	for h.Len() > 0 && (*h)[0].at <= deadline {
+		it := heap.Pop(h).(refItem)
+		s.fire(it.at, it.seq)
+	}
+}
+
+// sameFirings fails the test unless got fired exactly want's events in
+// want's order.
+func sameFirings(t *testing.T, seed uint64, got, want []refItem) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: firing %d is (%d,%d), reference (%d,%d)", seed, i, got[i].at, got[i].seq, want[i].at, want[i].seq)
+		}
+	}
 }
 
 // TestSameCycleScheduleMatchesReference runs random branching schedules
@@ -237,40 +305,24 @@ func TestSameCycleScheduleMatchesReference(t *testing.T) {
 			roots[i] = r.delay() % 8
 		}
 
-		got := &spawner{budget: 4000}
 		var e Engine
+		got := engineSpawner(&e, 4000)
 		for _, at := range roots {
-			v := &spawnEv{s: got, e: &e}
-			e.AtObj(at, v)
-			v.seq = e.seq
+			got.schedule(at)
 		}
 		e.Run()
 
-		want := &spawner{budget: 4000}
 		var h boxedHeap
-		var seq uint64
-		push := func(at uint64) {
-			seq++
-			heap.Push(&h, item{at: at, seq: seq})
-		}
+		want := refSpawner(&h, 4000)
 		for _, at := range roots {
-			push(at)
+			want.schedule(at)
 		}
-		for h.Len() > 0 {
-			it := heap.Pop(&h).(item)
-			want.children(it.at, it.seq, push)
-		}
+		runRef(want, &h, math.MaxUint64)
 
-		if len(got.fired) != len(want.fired) {
-			t.Fatalf("seed %d: engine fired %d events, reference %d", seed, len(got.fired), len(want.fired))
-		}
+		sameFirings(t, seed, got.fired, want.fired)
 		same := 0
-		for i := range want.fired {
-			g, w := got.fired[i], want.fired[i]
-			if g.at != w.at || g.seq != w.seq {
-				t.Fatalf("seed %d: firing %d is (%d,%d), reference (%d,%d)", seed, i, g.at, g.seq, w.at, w.seq)
-			}
-			if i > 0 && w.at == want.fired[i-1].at {
+		for i := 1; i < len(want.fired); i++ {
+			if want.fired[i].at == want.fired[i-1].at {
 				same++
 			}
 		}
@@ -278,4 +330,69 @@ func TestSameCycleScheduleMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: no two events fired on one cycle", seed)
 		}
 	}
+}
+
+// TestEngineMatchesReference drives the engine and the boxedHeap
+// reference through the same randomized schedule, in rounds: a burst of
+// events at mixDelay offsets from now, then RunUntil a deadline. It
+// requires the same firing order on (at, seq), and that the schedule
+// reached each case the slot and the sorted queue treat apart:
+// same-cycle events scheduled from inside Fire, a slot item displaced
+// while items at its own time are queued, deadlines that fall between
+// pending events, and several hundred events pending at once.
+func TestEngineMatchesReference(t *testing.T) {
+	var sameCycle, displaced, cutShort, maxPending int
+	for seed := uint64(1); seed <= 10; seed++ {
+		var e Engine
+		got := engineSpawner(&e, 4000)
+		push := got.push
+		got.push = func(at, seq uint64) {
+			if got.firing && at == e.now {
+				sameCycle++
+			}
+			if e.hasNext && at < e.next.at {
+				for _, q := range e.queue[e.head:] {
+					if q.at == e.next.at {
+						displaced++
+						break
+					}
+				}
+			}
+			push(at, seq)
+			maxPending = max(maxPending, e.Pending())
+		}
+		var h boxedHeap
+		want := refSpawner(&h, 4000)
+
+		r := lcg(seed)
+		var now uint64
+		for round := 0; round < 40; round++ {
+			for n := r.next() % 200; n > 0; n-- {
+				at := now + r.mixDelay()
+				got.schedule(at)
+				want.schedule(at)
+			}
+			now += r.delay()
+			e.RunUntil(now)
+			runRef(want, &h, now)
+			if e.Now() != now {
+				t.Fatalf("seed %d: RunUntil(%d) left Now() = %d", seed, now, e.Now())
+			}
+			if e.Pending() != h.Len() {
+				t.Fatalf("seed %d: %d events pending, reference %d", seed, e.Pending(), h.Len())
+			}
+			if e.Pending() > 0 {
+				cutShort++
+			}
+		}
+		e.Run()
+		runRef(want, &h, math.MaxUint64)
+		sameFirings(t, seed, got.fired, want.fired)
+	}
+	if sameCycle == 0 || displaced == 0 || cutShort == 0 || maxPending < 300 {
+		t.Fatalf("schedule missed a case: %d same-cycle schedules from Fire, %d displaced slot items, %d deadlines between events, %d most pending",
+			sameCycle, displaced, cutShort, maxPending)
+	}
+	t.Logf("%d same-cycle schedules from Fire, %d displaced slot items, %d deadlines between events, %d most pending",
+		sameCycle, displaced, cutShort, maxPending)
 }
