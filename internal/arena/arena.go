@@ -1,8 +1,8 @@
 // Package arena provides allocation-free building blocks for the
 // simulator's hot paths: typed freelists for fixed-size objects that
 // cycle rapidly (write-queue entries, enqueue jobs) and chunked
-// append-only buffers for streams that only grow (trace ops, memory
-// lines, observability events).
+// append-only buffers for streams that only grow (trace ops,
+// observability events).
 //
 // Both exist to hold the event loop's 0 allocs/op line under large
 // runs: a freelist recycles objects instead of handing them to the
@@ -128,35 +128,4 @@ func (c *Chunks[T]) Flatten() []T {
 func (c *Chunks[T]) Reset() {
 	c.full = nil
 	c.cur = c.cur[:0]
-}
-
-// Bytes hands out small byte slices carved from large blocks, for
-// per-line functional memory (64 B lines) that would otherwise be one
-// tiny GC allocation each.
-type Bytes struct {
-	block     []byte
-	blockSize int
-}
-
-// NewBytes returns an allocator whose blocks hold blockSize bytes
-// (minimum one line's worth; <= 0 selects the 64 KiB default).
-func NewBytes(blockSize int) *Bytes {
-	if blockSize <= 0 {
-		blockSize = 64 << 10
-	}
-	return &Bytes{blockSize: blockSize}
-}
-
-// Alloc returns a zeroed n-byte slice. Slices remain valid forever;
-// they are never reused or relocated.
-func (b *Bytes) Alloc(n int) []byte {
-	if n > b.blockSize {
-		return make([]byte, n)
-	}
-	if len(b.block)+n > cap(b.block) {
-		b.block = make([]byte, 0, b.blockSize)
-	}
-	off := len(b.block)
-	b.block = b.block[:off+n]
-	return b.block[off : off+n : off+n]
 }

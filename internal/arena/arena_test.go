@@ -160,48 +160,6 @@ func TestChunksAppendAmortizedAllocs(t *testing.T) {
 	}
 }
 
-func TestBytesAlloc(t *testing.T) {
-	b := NewBytes(256)
-	x := b.Alloc(64)
-	y := b.Alloc(64)
-	if len(x) != 64 || len(y) != 64 {
-		t.Fatalf("Alloc lengths = %d, %d, want 64", len(x), len(y))
-	}
-	for i := range x {
-		if x[i] != 0 {
-			t.Fatal("Alloc returned non-zero memory")
-		}
-	}
-	x[0] = 0xaa
-	if y[0] != 0 {
-		t.Fatal("allocations alias each other")
-	}
-	// Full capacity slices must not allow growth into the neighbor.
-	if cap(x) != 64 {
-		t.Fatalf("cap = %d, want 64 (three-index slice)", cap(x))
-	}
-	// Survives block rollover.
-	z := b.Alloc(200) // forces a new block (64+64+200 > 256)
-	if len(z) != 200 || z[0] != 0 {
-		t.Fatal("rollover allocation broken")
-	}
-	if x[0] != 0xaa {
-		t.Fatal("rollover invalidated an earlier allocation")
-	}
-	// Oversized requests fall back to a private allocation.
-	big := b.Alloc(1 << 12)
-	if len(big) != 1<<12 {
-		t.Fatal("oversized Alloc broken")
-	}
-}
-
-func TestBytesDefaultBlock(t *testing.T) {
-	b := NewBytes(0)
-	if s := b.Alloc(64); len(s) != 64 {
-		t.Fatal("default-sized allocator broken")
-	}
-}
-
 func BenchmarkChunksAppend(b *testing.B) {
 	var c Chunks[[3]uint64]
 	b.ReportAllocs()

@@ -149,7 +149,8 @@ func TestXBankFasterThanSingleBankWhenColocated(t *testing.T) {
 	// parallelism (Figure 8).
 	cfg := testConfig(config.WT)
 	sys, _ := NewSystem(cfg)
-	base := sys.Layout().BankBase(cfg.Banks - 1)
+	layout := sys.Layout()
+	base := layout.BankBase(cfg.Banks - 1)
 	lines := make([]uint64, 16)
 	for i := range lines {
 		lines[i] = base + uint64(i)*config.PageSize // one line per page: no coalescing help

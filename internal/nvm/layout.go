@@ -56,7 +56,7 @@ func LineAddr(addr uint64) uint64 { return addr &^ (config.LineSize - 1) }
 // the contiguous-region mapping; counter addresses decode the bank that
 // was encoded by CounterLineAddr (config.Validate makes the bank count a
 // power of two, so the decode is a mask).
-func (l Layout) BankOf(addr uint64) int {
+func (l *Layout) BankOf(addr uint64) int {
 	if addr < l.DataBytes {
 		return int(addr / l.BankBytes)
 	}
@@ -64,45 +64,63 @@ func (l Layout) BankOf(addr uint64) int {
 }
 
 // IsCounter reports whether addr lies in the counter region.
-func (l Layout) IsCounter(addr uint64) bool { return addr >= l.CtrBase }
+func (l *Layout) IsCounter(addr uint64) bool { return addr >= l.CtrBase }
 
 // PageOf returns the data page index of a data address.
-func (l Layout) PageOf(addr uint64) uint64 { return addr / config.PageSize }
+func (l *Layout) PageOf(addr uint64) uint64 { return addr / config.PageSize }
 
 // BankBase returns the first data address of bank b.
-func (l Layout) BankBase(b int) uint64 { return uint64(b) * l.BankBytes }
+func (l *Layout) BankBase(b int) uint64 { return uint64(b) * l.BankBytes }
 
 // CounterBank returns the bank that holds the counter line of dataAddr
-// under the given placement policy.
-func (l Layout) CounterBank(dataAddr uint64, p config.Placement) int {
-	switch p {
-	case config.SingleBank:
+// under the given placement policy. XBank's partner bank is half the
+// banks away; the bank count is a power of two, so the wrap is a mask.
+func (l *Layout) CounterBank(dataAddr uint64, p config.Placement) int {
+	if p == config.SingleBank {
 		return l.Banks - 1
-	case config.SameBank:
-		return l.BankOf(dataAddr)
-	case config.XBank:
-		return (l.BankOf(dataAddr) + l.Banks/2) % l.Banks
-	default:
-		panic(fmt.Sprintf("nvm: unknown placement %v", p))
 	}
+	bank := l.BankOf(dataAddr)
+	switch p {
+	case config.SameBank:
+		return bank
+	case config.XBank:
+		return (bank + l.Banks/2) & (l.Banks - 1)
+	}
+	panic(badPlacement(p))
 }
 
 // CounterLineAddr returns the physical address of the counter line that
 // protects the data page containing dataAddr, under the given placement
 // policy. It panics if dataAddr is outside the data region: a counter of
 // a counter is a model bug.
-func (l Layout) CounterLineAddr(dataAddr uint64, p config.Placement) uint64 {
+func (l *Layout) CounterLineAddr(dataAddr uint64, p config.Placement) uint64 {
 	if dataAddr >= l.DataBytes {
-		panic(fmt.Sprintf("nvm: counter lookup for non-data address %#x (data region ends at %#x)", dataAddr, l.DataBytes))
+		panic(notData{dataAddr, l.DataBytes})
 	}
 	page := l.PageOf(dataAddr)
 	bank := l.CounterBank(dataAddr, p)
 	return l.CtrBase + (page*uint64(l.Banks)+uint64(bank))*config.LineSize
 }
 
+// The lookups above panic with these values rather than a formatted
+// string: the message is built only when a panic prints it, which
+// keeps the lookups small enough to inline.
+type (
+	badPlacement config.Placement
+	notData      struct{ addr, dataEnd uint64 }
+)
+
+func (p badPlacement) Error() string {
+	return fmt.Sprintf("nvm: unknown placement %v", config.Placement(p))
+}
+
+func (e notData) Error() string {
+	return fmt.Sprintf("nvm: counter lookup for non-data address %#x (data region ends at %#x)", e.addr, e.dataEnd)
+}
+
 // CounterPageOf inverts CounterLineAddr: it returns the data page index a
 // counter-region address protects. It panics on non-counter addresses.
-func (l Layout) CounterPageOf(ctrAddr uint64) uint64 {
+func (l *Layout) CounterPageOf(ctrAddr uint64) uint64 {
 	if ctrAddr < l.CtrBase {
 		panic(fmt.Sprintf("nvm: %#x is not in the counter region", ctrAddr))
 	}

@@ -1,6 +1,9 @@
 package nvm
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -140,14 +143,67 @@ func TestCounterPageOfInverts(t *testing.T) {
 	}
 }
 
+// TestCounterLineAddrMatchesModulo pins the counter-line address of
+// every placement to its defining formula, the XBank partner bank
+// wrapping with a modulo, at every power-of-two bank count from 2 to
+// 128. Each bank's first and last byte are sampled with random data
+// addresses.
+func TestCounterLineAddrMatchesModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for banks := 2; banks <= 128; banks *= 2 {
+		cfg := config.Default()
+		cfg.MemBytes = 16 << 20
+		cfg.Banks = banks
+		l := NewLayout(cfg)
+		var addrs []uint64
+		for b := 0; b < banks; b++ {
+			addrs = append(addrs, l.BankBase(b), l.BankBase(b)+l.BankBytes-1)
+		}
+		for range 256 {
+			addrs = append(addrs, uint64(rng.Int63n(int64(l.DataBytes))))
+		}
+		for _, addr := range addrs {
+			dataBank := int(addr / l.BankBytes)
+			for p, bank := range map[config.Placement]int{
+				config.SingleBank: banks - 1,
+				config.SameBank:   dataBank,
+				config.XBank:      (dataBank + banks/2) % banks,
+			} {
+				want := l.CtrBase + (addr/config.PageSize*uint64(banks)+uint64(bank))*config.LineSize
+				if got := l.CounterLineAddr(addr, p); got != want {
+					t.Fatalf("%d banks, %v: CounterLineAddr(%#x) = %#x, want %#x (bank %d)", banks, p, addr, got, want, bank)
+				}
+			}
+		}
+	}
+}
+
 func TestCounterLookupOutsideDataPanics(t *testing.T) {
 	l := NewLayout(testConfig())
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("CounterLineAddr accepted a counter-region address")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "non-data address") {
+			t.Fatalf("panic message %q does not name the non-data address", msg)
 		}
 	}()
 	l.CounterLineAddr(l.CtrBase, config.XBank)
+}
+
+func TestUnknownPlacementPanics(t *testing.T) {
+	l := NewLayout(testConfig())
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("CounterBank accepted an unknown placement")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "unknown placement") {
+			t.Fatalf("panic message %q does not name the placement", msg)
+		}
+	}()
+	l.CounterBank(0, config.Placement(99))
 }
 
 func TestDeviceReadWriteTiming(t *testing.T) {

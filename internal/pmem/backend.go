@@ -11,7 +11,9 @@
 package pmem
 
 import (
-	"sort"
+	"maps"
+	"math/bits"
+	"slices"
 
 	"supermem/internal/arena"
 	"supermem/internal/config"
@@ -42,41 +44,52 @@ type Marker interface {
 // when untouched), so data-structure code runs for real while the op
 // stream drives the timing simulator.
 //
-// A large workload build appends millions of ops and materializes
-// hundreds of thousands of lines, so the op stream lives in a chunked
-// arena buffer (no copy-and-double growth) and lines are carved from a
-// block allocator (one GC object per ~1000 lines instead of one each).
+// A large workload build appends millions of ops and touches hundreds
+// of thousands of lines, so the op stream lives in a chunked arena
+// buffer (no copy-and-double growth) and memory is kept in 4 KiB pages:
+// one map entry and one allocation per page rather than per line, with
+// a mask of the lines Load or Store has touched.
 type TracingBackend struct {
-	mem   map[uint64][]byte // line base -> 64-byte slice
+	pages map[uint64]*page // page base -> page
 	ops   arena.Chunks[trace.Op]
-	lines *arena.Bytes
+}
+
+// page is one 4 KiB page of functional memory. Bit k of lines is set
+// once Load or Store has touched line k, so Lines can report exactly
+// the lines the workload touched.
+type page struct {
+	data  [config.PageSize]byte
+	lines uint64
 }
 
 // NewTracingBackend returns an empty tracing backend.
 func NewTracingBackend() *TracingBackend {
-	return &TracingBackend{mem: make(map[uint64][]byte), lines: arena.NewBytes(0)}
+	return &TracingBackend{pages: make(map[uint64]*page)}
 }
 
 func lineBase(addr uint64) uint64 { return addr &^ (config.LineSize - 1) }
 
-func (b *TracingBackend) lineFor(base uint64) []byte {
-	l, ok := b.mem[base]
+// line returns the bytes from addr to the end of its line, materializing
+// the page and marking the line touched.
+func (b *TracingBackend) line(addr uint64) []byte {
+	pb := addr &^ (config.PageSize - 1)
+	p, ok := b.pages[pb]
 	if !ok {
-		l = b.lines.Alloc(config.LineSize)
-		b.mem[base] = l
+		p = new(page)
+		b.pages[pb] = p
 	}
-	return l
+	off := addr - pb
+	p.lines |= 1 << (off / config.LineSize)
+	return p.data[off : lineBase(off)+config.LineSize]
 }
 
 // Load implements Backend, emitting one Read per touched line.
 func (b *TracingBackend) Load(addr uint64, n int) []byte {
 	out := make([]byte, n)
-	i := 0
-	for i < n {
-		base := lineBase(addr + uint64(i))
-		b.ops.Append(trace.Op{Kind: trace.Read, Addr: base})
-		off := int(addr + uint64(i) - base)
-		i += copy(out[i:], b.lineFor(base)[off:])
+	for i := 0; i < n; {
+		a := addr + uint64(i)
+		b.ops.Append(trace.Op{Kind: trace.Read, Addr: lineBase(a)})
+		i += copy(out[i:], b.line(a))
 	}
 	return out
 }
@@ -84,10 +97,8 @@ func (b *TracingBackend) Load(addr uint64, n int) []byte {
 // Store implements Backend, emitting one Write per touched line.
 func (b *TracingBackend) Store(addr uint64, data []byte) {
 	for len(data) > 0 {
-		base := lineBase(addr)
-		b.ops.Append(trace.Op{Kind: trace.Write, Addr: base})
-		off := int(addr - base)
-		n := copy(b.lineFor(base)[off:], data)
+		b.ops.Append(trace.Op{Kind: trace.Write, Addr: lineBase(addr)})
+		n := copy(b.line(addr), data)
 		addr += uint64(n)
 		data = data[n:]
 	}
@@ -111,14 +122,15 @@ func (b *TracingBackend) Mark(op trace.Op) { b.ops.Append(op) }
 func (b *TracingBackend) Ops() []trace.Op { return b.ops.Flatten() }
 
 // Lines returns the sorted base addresses of every memory line the
-// backend has ever materialized — the address space the crash fuzzer
-// diffs a recovered machine against.
+// backend has ever touched through Load or Store — the address space
+// the crash fuzzer diffs a recovered machine against.
 func (b *TracingBackend) Lines() []uint64 {
-	out := make([]uint64, 0, len(b.mem))
-	for base := range b.mem {
-		out = append(out, base)
+	var out []uint64
+	for _, pb := range slices.Sorted(maps.Keys(b.pages)) {
+		for m := b.pages[pb].lines; m != 0; m &= m - 1 {
+			out = append(out, pb+uint64(bits.TrailingZeros64(m))*config.LineSize)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -118,21 +118,74 @@ func u64bytes(v uint64) []byte {
 	return b[:]
 }
 
+// The payload pattern: byte i is the top byte of state i+2 of a 64-bit
+// LCG seeded from the tag.
+const lcgMul, lcgInc = 6364136223846793005, 1442695040888963407
+
+// jumpMul and jumpInc advance the LCG eight states in one step:
+// s' = jumpMul*s + jumpInc is lcgMul*s + lcgInc applied eight times.
+var jumpMul, jumpInc = func() (m, c uint64) {
+	m = 1
+	for range 8 {
+		m, c = m*lcgMul, c*lcgMul+lcgInc
+	}
+	return m, c
+}()
+
+// lanes returns the LCG states of a pattern's first eight bytes. fill
+// and checkFill run eight interleaved copies of the LCG: lane k holds
+// the state of byte i+k, and one jump step moves every lane on to byte
+// i+k+8, so the eight multiplies behind a word do not wait on each
+// other. Both keep the lanes and the jump constants in locals, which
+// stay in registers across the loop.
+func lanes(tag uint64) (l [8]uint64) {
+	s := tag*lcgMul + lcgInc
+	for k := range l {
+		s = s*lcgMul + lcgInc
+		l[k] = s
+	}
+	return l
+}
+
+// word packs the top bytes of eight lane states into one little-endian
+// word, lane k into byte k.
+func word(x0, x1, x2, x3, x4, x5, x6, x7 uint64) uint64 {
+	return x0>>56 | x1>>56<<8 | x2>>56<<16 | x3>>56<<24 |
+		x4>>56<<32 | x5>>56<<40 | x6>>56<<48 | x7>>56<<56
+}
+
 // fill writes a deterministic pattern derived from tag into buf, so
 // Verify can recompute and compare payloads.
 func fill(buf []byte, tag uint64) {
-	s := tag*6364136223846793005 + 1442695040888963407
-	for i := range buf {
-		s = s*6364136223846793005 + 1442695040888963407
-		buf[i] = byte(s >> 56)
+	m, c := jumpMul, jumpInc
+	l := lanes(tag)
+	x0, x1, x2, x3, x4, x5, x6, x7 := l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]
+	for ; len(buf) >= 8; buf = buf[8:] {
+		put64(buf, word(x0, x1, x2, x3, x4, x5, x6, x7))
+		x0, x1, x2, x3 = x0*m+c, x1*m+c, x2*m+c, x3*m+c
+		x4, x5, x6, x7 = x4*m+c, x5*m+c, x6*m+c, x7*m+c
+	}
+	l = [8]uint64{x0, x1, x2, x3, x4, x5, x6, x7}
+	for k := range buf {
+		buf[k] = byte(l[k] >> 56)
 	}
 }
 
+// checkFill reports whether buf holds fill's pattern for tag.
 func checkFill(buf []byte, tag uint64) bool {
-	want := make([]byte, len(buf))
-	fill(want, tag)
-	for i := range buf {
-		if buf[i] != want[i] {
+	m, c := jumpMul, jumpInc
+	l := lanes(tag)
+	x0, x1, x2, x3, x4, x5, x6, x7 := l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]
+	for ; len(buf) >= 8; buf = buf[8:] {
+		if le64(buf) != word(x0, x1, x2, x3, x4, x5, x6, x7) {
+			return false
+		}
+		x0, x1, x2, x3 = x0*m+c, x1*m+c, x2*m+c, x3*m+c
+		x4, x5, x6, x7 = x4*m+c, x5*m+c, x6*m+c, x7*m+c
+	}
+	l = [8]uint64{x0, x1, x2, x3, x4, x5, x6, x7}
+	for k := range buf {
+		if buf[k] != byte(l[k]>>56) {
 			return false
 		}
 	}
