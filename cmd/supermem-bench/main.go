@@ -46,12 +46,18 @@
 //	supermem-bench -events t.json -events-cell btree/SuperMem
 //
 // -events writes one Chrome trace_event JSON file per experiment
-// (openable in Perfetto) capturing the -events-cell cell's bank
-// reservations, write-queue admissions/retirements, CWC removals, and
-// re-encryptions. -hist collects latency histograms on every cell; with
-// -json they land in the artifact's "histograms" block. The crash
-// experiment's cells are crash-free reference runs on the functional
-// SuperMem machine, measured in persist steps instead of cycles.
+// (openable in Perfetto) capturing the bank reservations, write-queue
+// admissions/retirements, CWC removals, and re-encryptions of every
+// cell labelled -events-cell; an experiment with no such cell writes no
+// file and says so. -hist collects latency histograms on every timing
+// cell of every experiment (the figure grids, kv, mlp, attack,
+// integrity's timing cells and faultsweep's quarantine cell; table1
+// and the crash-machine fault grids have none); with -json they land in
+// the artifact's "histograms" block, one capture per cell, each
+// numbered by its index in the experiment's cell order ("cell"). The
+// crash experiment's cells are crash-free reference runs on the
+// functional SuperMem machine, measured in persist steps instead of
+// cycles.
 package main
 
 import (
@@ -395,15 +401,17 @@ func traceLabel(events, cell string) string {
 // collected.
 func printHistograms(cells []bench.CellObs) {
 	for _, c := range cells {
-		fmt.Printf("latency histograms: %s tx=%dB wq=%d\n%s\n", c.Label, c.TxBytes, c.WriteQueue, c.Hist)
+		fmt.Printf("latency histograms: %s\n%s\n", c.Name(), c.Hist)
 	}
 }
 
 // writeTrace saves an experiment's traced cells as
-// <base minus extension>_<experiment>.json trace_event files.
+// <base minus extension>_<experiment>.json trace_event files, or says
+// that no cell matched the trace label.
 func writeTrace(base, expName string, c *bench.ObsCollector) error {
 	sections := c.TraceSections()
 	if len(sections) == 0 {
+		fmt.Printf("[no cell labelled %s in %s; no trace written]\n\n", c.TraceLabel, expName)
 		return nil
 	}
 	path := strings.TrimSuffix(base, ".json") + "_" + fileName(expName) + ".json"

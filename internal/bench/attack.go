@@ -346,10 +346,9 @@ func AttackSweep(base config.Config, o Opts, ao AttackOpts) (*AttackResult, erro
 		)
 	}
 
-	// The experiment needs per-core histograms and the mitigation
-	// series, so it always observes its cells (Opts.Obs is not
-	// consulted).
-	ms, recs, err := NewRunner(o.Parallel).RunObserved(cells)
+	// The experiment reads per-core histograms and the mitigation
+	// series, so it observes every cell.
+	ms, recs, err := o.runCells(cells, true)
 	if err != nil {
 		return nil, fmt.Errorf("attack: %w", err)
 	}

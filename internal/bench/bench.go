@@ -99,8 +99,9 @@ type Opts struct {
 	// an isolated deterministic simulation and tables are assembled in
 	// declaration order.
 	Parallel int
-	// Obs, if non-nil, attaches observability recorders to the cells
-	// (histograms and/or trace events); see ObsCollector.
+	// Obs, if non-nil, attaches observability recorders to every
+	// timing cell the experiment runs (histograms and/or trace
+	// events); see ObsCollector and runCells.
 	Obs *ObsCollector
 }
 
@@ -108,13 +109,6 @@ type Opts struct {
 // uses these, tests use smaller ones.
 func DefaultOpts() Opts {
 	return Opts{Transactions: 200, Warmup: 0, FootprintBytes: 8 << 20, Seed: 1}
-}
-
-// newRunner builds the cell runner for these options.
-func (o Opts) newRunner() *Runner {
-	r := NewRunner(o.Parallel)
-	r.Obs = o.Obs
-	return r
 }
 
 func (o Opts) spec(base config.Config, wl string, scheme config.Scheme, txBytes, cores int) Spec {
@@ -131,9 +125,9 @@ func (o Opts) spec(base config.Config, wl string, scheme config.Scheme, txBytes,
 	}
 }
 
-// runGrid runs the figures' cell grid on the parallel runner: one
-// cell per (workload, column), built by specAt, with the metrics
-// returned by row and column.
+// runGrid runs the figures' cell grid through runCells: one cell per
+// (workload, column), built by specAt, with the metrics returned by row
+// and column.
 func runGrid(o Opts, ncols int, specAt func(wl string, col int) Spec) ([][]stats.Metrics, error) {
 	cells := make([]Spec, 0, len(workload.Names)*ncols)
 	for _, wl := range workload.Names {
@@ -141,7 +135,7 @@ func runGrid(o Opts, ncols int, specAt func(wl string, col int) Spec) ([][]stats
 			cells = append(cells, specAt(wl, ci))
 		}
 	}
-	ms, err := o.newRunner().RunCells(cells)
+	ms, _, err := o.runCells(cells, false)
 	if err != nil {
 		return nil, err
 	}

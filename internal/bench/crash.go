@@ -60,24 +60,18 @@ func crashExperiment() Experiment {
 					return nil, err
 				}
 				m = append(m, res)
-				if o.Obs == nil {
-					continue
-				}
-				label := w + "/" + config.SuperMem.String()
-				rec := o.Obs.newRecorder(label)
-				if rec == nil {
-					continue
-				}
 				p := res.Params
+				cell := o.Obs.newCell(w+"/"+config.SuperMem.String(), p.TxBytes, 0)
+				if cell.Rec == nil {
+					continue
+				}
 				ref := crash.Params{Mode: machine.WTRegister, Workload: w, TxBytes: p.TxBytes, Items: p.Items, Steps: p.Steps, Seed: p.Seed}
-				if _, err := crash.ReferenceRun(ref, rec); err != nil {
+				if _, err := crash.ReferenceRun(ref, cell.Rec); err != nil {
 					return nil, fmt.Errorf("%s reference run: %w", w, err)
 				}
-				cells = append(cells, CellObs{Label: label, TxBytes: p.TxBytes, Rec: rec})
+				cells = append(cells, cell)
 			}
-			if o.Obs != nil {
-				o.Obs.collect(cells)
-			}
+			o.Obs.collect(cells)
 			return m, nil
 		},
 	}

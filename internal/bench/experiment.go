@@ -92,8 +92,8 @@ func Experiments() []Experiment {
 		Experiment{
 			Name:  "integrity",
 			Claim: "every counter replay was caught by the tree; zero silent outcomes",
-			Run: func(_ config.Config, o Opts) (Result, error) {
-				return IntegritySweep(IntegrityOpts{Parallel: o.Parallel})
+			Run: func(cfg config.Config, o Opts) (Result, error) {
+				return IntegritySweep(cfg, o, IntegrityOpts{})
 			},
 		},
 		kvExperiment(),

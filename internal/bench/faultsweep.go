@@ -48,9 +48,6 @@ type FaultSweepOpts struct {
 	// Crashing points also arm a nested recovery crash at step 1.
 	// Default {-1, 3, 6}.
 	CrashPoints []int
-	// Parallel is the worker count (<= 0 means GOMAXPROCS). Results are
-	// byte-identical at any setting.
-	Parallel int
 }
 
 func (o FaultSweepOpts) withDefaults() FaultSweepOpts {
@@ -200,24 +197,26 @@ func faultSweepExperiment() Experiment {
 		Flags: func(fs *flag.FlagSet) {
 			fs.Int64Var(&seed, "fault-seed", 0, "base seed for the faultsweep's generated plans (0 = default)")
 		},
-		Run: func(_ config.Config, o Opts) (Result, error) {
-			fo := FaultSweepOpts{Parallel: o.Parallel}
+		Run: func(cfg config.Config, o Opts) (Result, error) {
+			var fo FaultSweepOpts
 			if seed != 0 {
 				fo.PlanSeeds = []int64{seed, seed + 1}
 			}
-			return FaultSweep(fo)
+			return FaultSweep(cfg, o, fo)
 		},
 	}
 }
 
-// FaultSweep runs the full fault x crash x ECC grid plus the bank
-// quarantine timing cell.
-func FaultSweep(o FaultSweepOpts) (*FaultSweepResult, error) {
-	o = o.withDefaults()
+// FaultSweep runs the full fault x crash x ECC grid across o.Parallel
+// workers, plus the bank quarantine timing cell on the base template
+// (observed by o.Obs). The grid and the cell keep their own fixed
+// sizing; o's sizing knobs do not apply.
+func FaultSweep(base config.Config, o Opts, fo FaultSweepOpts) (*FaultSweepResult, error) {
+	fo = fo.withDefaults()
 	profiles := FaultSweepECC()
 
 	var plans []fault.Plan
-	for _, seed := range o.PlanSeeds {
+	for _, seed := range fo.PlanSeeds {
 		plan, err := mediaPlan(seed)
 		if err != nil {
 			return nil, err
@@ -232,16 +231,16 @@ func FaultSweep(o FaultSweepOpts) (*FaultSweepResult, error) {
 		for _, ecc := range profiles {
 			ci := len(cells)
 			cells = append(cells, FaultCell{Mode: mode.String(), ECC: ecc.Name})
-			for _, wl := range o.Workloads {
+			for _, wl := range fo.Workloads {
 				for _, plan := range plans {
-					for _, crashAt := range o.CrashPoints {
+					for _, crashAt := range fo.CrashPoints {
 						runs = append(runs, faultRun{cell: ci, mode: mode, workload: wl, plan: plan, ecc: ecc, crashAt: crashAt})
 					}
 				}
 			}
 		}
 	}
-	results, err := runFaultGrid(runs, o.Steps, o.Parallel)
+	results, err := runFaultGrid(runs, fo.Steps, o.Parallel)
 	if err != nil {
 		return nil, fmt.Errorf("faultsweep %w", err)
 	}
@@ -253,7 +252,7 @@ func FaultSweep(o FaultSweepOpts) (*FaultSweepResult, error) {
 		c.Injected += results[i].Stats.Injected
 	}
 
-	q, err := quarantineCell()
+	q, err := quarantineCell(base, o)
 	if err != nil {
 		return nil, err
 	}
@@ -265,10 +264,11 @@ func FaultSweep(o FaultSweepOpts) (*FaultSweepResult, error) {
 // quarantines the bank and remaps to its XBank partner; a latency
 // spike window on another bank stretches service times without
 // failing. The cell must complete — the assertion is that a dead bank
-// degrades the simulation instead of wedging it.
-func quarantineCell() (QuarantineCell, error) {
-	cfg := config.Default()
-	cfg.Scheme = config.SuperMem
+// degrades the simulation instead of wedging it. It builds its own
+// system, since runCells has no way to attach the bank faults, but
+// takes its recorder the way runCells' cells do.
+func quarantineCell(base config.Config, o Opts) (QuarantineCell, error) {
+	cfg := base
 	cfg.ReadRetryLimit = 3
 	cfg.ReadRetryBackoff = 16
 	cfg.BankQuarantineThreshold = 4
@@ -278,11 +278,12 @@ func quarantineCell() (QuarantineCell, error) {
 	if err != nil {
 		return QuarantineCell{}, err
 	}
-	sys, err := core.NewSystem(cfg)
+	sys, err := core.NewSystem(spec.config())
 	if err != nil {
 		return QuarantineCell{}, err
 	}
-	rec := obs.NewRecorder(obs.Options{Window: 4096})
+	recs, captures := o.recorders([]Spec{spec}, true)
+	rec := recs[0]
 	sys.SetRecorder(rec)
 	plan := fault.Plan{Injections: []fault.Injection{
 		// Bank 0 fails every access for the whole run.
@@ -295,6 +296,7 @@ func quarantineCell() (QuarantineCell, error) {
 	if err != nil {
 		return QuarantineCell{}, err
 	}
+	o.Obs.collect(captures)
 	return QuarantineCell{
 		Workload:         spec.Workload,
 		Scheme:           spec.Scheme.String(),

@@ -5,17 +5,18 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"supermem/internal/config"
 )
 
 // smallSweep keeps the grid small enough for -short while still
-// covering every mode x profile cell.
-func smallSweep(parallel int) FaultSweepOpts {
-	return FaultSweepOpts{
+// covering every mode x profile cell, on parallel workers.
+func smallSweep(parallel int) (config.Config, Opts, FaultSweepOpts) {
+	return config.Default(), Opts{Parallel: parallel}, FaultSweepOpts{
 		Workloads:   []string{"array"},
 		Steps:       6,
 		PlanSeeds:   []int64{1},
 		CrashPoints: []int{-1, 4},
-		Parallel:    parallel,
 	}
 }
 

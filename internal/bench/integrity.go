@@ -43,9 +43,6 @@ type IntegrityOpts struct {
 	CrashPoints []int
 	// Transactions sizes the timing cells (default 200).
 	Transactions int
-	// Parallel is the worker count (<= 0 means GOMAXPROCS). Results
-	// are byte-identical at any setting.
-	Parallel int
 }
 
 func (o IntegrityOpts) withDefaults() IntegrityOpts {
@@ -131,9 +128,11 @@ func integrityAttackPlan() fault.Plan {
 	}}
 }
 
-// IntegritySweep runs the detection grid and the timing cells.
-func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) {
-	o = o.withDefaults()
+// IntegritySweep runs the detection grid and the timing cells across
+// o.Parallel workers, the timing cells on the base template (observed
+// by o.Obs). Both keep their own sizing; o's sizing knobs do not apply.
+func IntegritySweep(base config.Config, o Opts, iopt IntegrityOpts) (*IntegrityResult, error) {
+	iopt = iopt.withDefaults()
 
 	cells := make([]IntegrityCell, 0, len(integrityModes()))
 	plan := integrityAttackPlan()
@@ -141,13 +140,13 @@ func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) {
 	for _, mode := range integrityModes() {
 		ci := len(cells)
 		cells = append(cells, IntegrityCell{Mode: mode.String()})
-		for _, wl := range o.Workloads {
-			for _, crashAt := range o.CrashPoints {
+		for _, wl := range iopt.Workloads {
+			for _, crashAt := range iopt.CrashPoints {
 				runs = append(runs, faultRun{cell: ci, mode: mode, workload: wl, plan: plan, ecc: fault.ECCStrong(), crashAt: crashAt})
 			}
 		}
 	}
-	results, err := runFaultGrid(runs, o.Steps, o.Parallel)
+	results, err := runFaultGrid(runs, iopt.Steps, o.Parallel)
 	if err != nil {
 		return nil, fmt.Errorf("integrity %w", err)
 	}
@@ -162,7 +161,7 @@ func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) {
 		}
 	}
 
-	timing, err := integrityTiming(o)
+	timing, err := integrityTiming(base, o, iopt.Transactions)
 	if err != nil {
 		return nil, err
 	}
@@ -173,13 +172,13 @@ func IntegritySweep(o IntegrityOpts) (*IntegrityResult, error) {
 // under the same configuration, differing only in the scheme — so the
 // tree-write columns are directly comparable, and the cells replay one
 // recording.
-func integrityTiming(o IntegrityOpts) ([]IntegrityTimingCell, error) {
+func integrityTiming(base config.Config, o Opts, transactions int) ([]IntegrityTimingCell, error) {
 	schemes := IntegritySchemes()
 	cells := make([]Spec, len(schemes))
 	for i, s := range schemes {
-		cells[i] = arrayCell(config.Default(), s, o.Transactions)
+		cells[i] = arrayCell(base, s, transactions)
 	}
-	ms, err := NewRunner(o.Parallel).RunCells(cells)
+	ms, _, err := o.runCells(cells, false)
 	if err != nil {
 		return nil, fmt.Errorf("integrity timing %w", err)
 	}

@@ -5,17 +5,18 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"supermem/internal/config"
 )
 
 // smallIntegrity keeps the grid small enough for -short while still
-// covering every mode and crash/no-crash point.
-func smallIntegrity(parallel int) IntegrityOpts {
-	return IntegrityOpts{
+// covering every mode and crash/no-crash point, on parallel workers.
+func smallIntegrity(parallel int) (config.Config, Opts, IntegrityOpts) {
+	return config.Default(), Opts{Parallel: parallel}, IntegrityOpts{
 		Workloads:    []string{"array"},
 		Steps:        8,
 		CrashPoints:  []int{-1, 3, 6},
 		Transactions: 60,
-		Parallel:     parallel,
 	}
 }
 

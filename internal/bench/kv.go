@@ -213,9 +213,9 @@ func KVServe(base config.Config, o Opts, ko KVOpts) (*KVResult, error) {
 		}
 	}
 
-	// The experiment needs the per-shard histograms, so it always
-	// observes its cells (Opts.Obs is not consulted).
-	ms, recs, err := NewRunner(o.Parallel).RunObserved(cells)
+	// The experiment reads the per-shard histograms, so it observes
+	// every cell.
+	ms, recs, err := o.runCells(cells, true)
 	if err != nil {
 		return nil, fmt.Errorf("kv: %w", err)
 	}

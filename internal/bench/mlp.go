@@ -172,9 +172,9 @@ func MLP(base config.Config, o Opts, mo MLPOpts) (*MLPResult, error) {
 		}
 	}
 
-	// The experiment needs the tx-latency histograms, so it always
-	// observes its cells (Opts.Obs is not consulted).
-	ms, recs, err := NewRunner(o.Parallel).RunObserved(cells)
+	// The experiment reads the tx-latency histograms, so it observes
+	// every cell.
+	ms, recs, err := o.runCells(cells, true)
 	if err != nil {
 		return nil, fmt.Errorf("mlp: %w", err)
 	}

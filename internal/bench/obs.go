@@ -9,6 +9,10 @@ import (
 
 // CellObs is the observability capture of one grid cell.
 type CellObs struct {
+	// Cell is the cell's index in its experiment's cell order. Labels
+	// repeat (every MLP core variant has a btree/WT cell); the index
+	// tells such cells apart.
+	Cell int `json:"cell"`
 	// Label is "<workload>/<scheme>".
 	Label string `json:"label"`
 	// TxBytes is the cell's transaction size.
@@ -21,6 +25,12 @@ type CellObs struct {
 	Rec *obs.Recorder `json:"-"`
 }
 
+// Name identifies the capture in -hist output and trace sections: its
+// cell index, label and sizing.
+func (c CellObs) Name() string {
+	return fmt.Sprintf("cell %d %s tx=%dB wq=%d", c.Cell, c.Label, c.TxBytes, c.WriteQueue)
+}
+
 // cellLabel renders a spec's collector label.
 func cellLabel(s Spec) string { return s.Workload + "/" + s.Scheme.String() }
 
@@ -28,11 +38,14 @@ func cellLabel(s Spec) string { return s.Workload + "/" + s.Scheme.String() }
 // gathers their results. Histograms are collected for every cell when
 // Hist is set; trace events are buffered only for cells whose label
 // matches TraceLabel (exactly one cell in a figure grid — each
-// workload/scheme pair appears once; sensitivity grids like Fig16 can
-// match several cells, each becoming its own trace process).
+// workload/scheme pair appears once; sensitivity grids like Fig16 and
+// the kv and mlp grids can match several cells, each becoming its own
+// trace process).
 //
-// Collection order is cell order, so output is byte-identical between
-// serial and parallel runs.
+// Cells are numbered and collected in cell order, so output is
+// byte-identical between serial and parallel runs. The numbering runs
+// across every cell the collector is offered, so a collector serves
+// one experiment (the CLI makes a fresh one per experiment).
 type ObsCollector struct {
 	// Window is the series sampling window in cycles (0 = default).
 	Window uint64
@@ -45,22 +58,35 @@ type ObsCollector struct {
 	MaxTraceEvents int
 
 	mu    sync.Mutex
+	next  int // the index newCell gives the next cell
 	cells []CellObs
 }
 
-// newRecorder builds the recorder for the cell labelled label, or nil
-// when the collector wants nothing from it.
-func (c *ObsCollector) newRecorder(label string) *obs.Recorder {
-	trace := c.TraceLabel != "" && c.TraceLabel == label
-	if !c.Hist && !trace {
-		return nil
+// newCell opens the capture of the experiment's next cell: it numbers
+// the cell and, when the collector wants it (histograms on, or label
+// traced), attaches a recorder; Rec is nil otherwise. A nil collector
+// numbers nothing and records nothing.
+func (c *ObsCollector) newCell(label string, txBytes, writeQueue int) CellObs {
+	if c == nil {
+		return CellObs{}
 	}
-	return obs.NewRecorder(obs.Options{Window: c.Window, Trace: trace, MaxTraceEvents: c.MaxTraceEvents})
+	c.mu.Lock()
+	cell := CellObs{Cell: c.next, Label: label, TxBytes: txBytes, WriteQueue: writeQueue}
+	c.next++
+	c.mu.Unlock()
+	if trace := c.TraceLabel != "" && c.TraceLabel == label; c.Hist || trace {
+		cell.Rec = obs.NewRecorder(obs.Options{Window: c.Window, Trace: trace, MaxTraceEvents: c.MaxTraceEvents})
+	}
+	return cell
 }
 
 // collect snapshots the finished cells' recorders and appends the
-// captures in cell order, skipping cells that got no recorder.
+// captures in cell order, skipping cells that got no recorder. A nil
+// collector collects nothing.
 func (c *ObsCollector) collect(cells []CellObs) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, cell := range cells {
@@ -89,7 +115,7 @@ func (c *ObsCollector) TraceSections() []obs.TraceSection {
 		if cell.Rec.TraceEnabled() {
 			out = append(out, obs.TraceSection{
 				PID:  len(out) + 1,
-				Name: fmt.Sprintf("%s tx=%dB wq=%d", cell.Label, cell.TxBytes, cell.WriteQueue),
+				Name: cell.Name(),
 				Rec:  cell.Rec,
 			})
 		}

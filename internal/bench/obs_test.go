@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supermem/internal/config"
+	"supermem/internal/machine"
 	"supermem/internal/obs"
 	"supermem/internal/workload"
 )
@@ -73,13 +74,13 @@ func TestObsParallelMatchesSerial(t *testing.T) {
 func TestObsCollectorSkipsUntracedCells(t *testing.T) {
 	c := &ObsCollector{TraceLabel: "btree/SuperMem"}
 	o := tinyOpts()
-	if rec := c.newRecorder(cellLabel(o.spec(tinyBase(), "array", config.Unsec, 256, 1))); rec != nil {
+	cells := []Spec{o.spec(tinyBase(), "array", config.Unsec, 256, 1)}
+	if rec := c.newCell(cellLabel(cells[0]), 256, 0).Rec; rec != nil {
 		t.Error("non-matching cell got a recorder")
 	}
-	r := NewRunner(2)
-	r.Obs = c
-	cells := []Spec{o.spec(tinyBase(), "array", config.Unsec, 256, 1)}
-	if _, err := r.RunCells(cells); err != nil {
+	o.Parallel = 2
+	o.Obs = c
+	if _, _, err := o.runCells(cells, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(c.Cells()); got != 0 {
@@ -92,9 +93,8 @@ func TestObsCollectorSkipsUntracedCells(t *testing.T) {
 func TestObsHistogramsPopulated(t *testing.T) {
 	o := tinyOpts()
 	o.Obs = &ObsCollector{Hist: true}
-	r := o.newRunner()
 	spec := o.spec(tinyBase(), "queue", config.SuperMem, 1024, 1)
-	if _, err := r.RunCells([]Spec{spec}); err != nil {
+	if _, _, err := o.runCells([]Spec{spec}, false); err != nil {
 		t.Fatal(err)
 	}
 	cs := o.Obs.Cells()
@@ -115,13 +115,13 @@ func TestObsHistogramsPopulated(t *testing.T) {
 // a multi-core cell the per-core tx-latency counts sum to the measured
 // transactions and the -hist snapshot counts every one of them.
 func TestHistogramsCoverMeasuredTransactions(t *testing.T) {
-	o := Opts{Transactions: 20, FootprintBytes: 1 << 20, Seed: 1}
+	o := Opts{Transactions: 20, FootprintBytes: 1 << 20, Seed: 1, Parallel: 2}
 	kv := o.spec(config.Default(), "kv", config.SuperMem, 256, 8)
 	kv.Transactions = 40
 	kv.CoreModel = config.CoreOoO
 	kv.KV = workload.KVConfig{Keys: 512, Theta: 0.99}
 	cells := []Spec{o.spec(config.Default(), "btree", config.SuperMem, 1024, 8), kv}
-	ms, recs, err := NewRunner(2).RunObserved(cells)
+	ms, recs, err := o.runCells(cells, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,5 +138,101 @@ func TestHistogramsCoverMeasuredTransactions(t *testing.T) {
 		if got := recs[i].Snapshot().TxLatency.Count; got != m.Transactions {
 			t.Errorf("%s: tx_latency snapshot counts %d, metrics measured %d", cells[i].Workload, got, m.Transactions)
 		}
+	}
+}
+
+// TestEveryTimingCellObserved: every experiment with timing cells hands
+// each of them to the collector once, numbered in cell order, and
+// observing changes no result. A figure grid and the kv, mlp, attack,
+// integrity and faultsweep experiments run at tiny sizing without a
+// collector and with a Hist one, at 1 and 4 workers; all four runs must
+// marshal to the same JSON.
+func TestEveryTimingCellObserved(t *testing.T) {
+	cfg := config.Default()
+	sized := Opts{Transactions: 5, FootprintBytes: 64 << 10, Seed: 1}
+	// Each run returns the experiment's result and its timing-cell
+	// count, read off the result wherever it reports every cell.
+	exps := []struct {
+		name string
+		run  func(o Opts) (result any, cells int, err error)
+	}{
+		{"fig13", func(o Opts) (any, int, error) {
+			tab, err := Fig13(tinyBase(), 256, o)
+			return tab, len(workload.Names) * len(config.AllSchemes()), err
+		}},
+		{"kv", func(o Opts) (any, int, error) {
+			r, err := KVServe(cfg, o, KVOpts{Shards: []int{1, 2}, Schemes: []config.Scheme{config.Unsec, config.SuperMem}, Thetas: []float64{0.99}, Keys: 128})
+			if err != nil {
+				return nil, 0, err
+			}
+			return r, len(r.Cells), nil
+		}},
+		{"mlp", func(o Opts) (any, int, error) {
+			r, err := MLP(cfg, o, MLPOpts{Schemes: []config.Scheme{config.SuperMem}, Widths: []int{1, 2}, MSHRs: []int{2}, PrefetchDegrees: []int{2}, TxBytes: 256})
+			if err != nil {
+				return nil, 0, err
+			}
+			return r, len(r.Cells), nil
+		}},
+		{"attack", func(o Opts) (any, int, error) {
+			r, err := AttackSweep(cfg, o, AttackOpts{Schemes: []config.Scheme{config.SuperMem}, Steps: 8, LoopIterations: 1, CrashSteps: 2, Modes: []machine.Mode{machine.WTRegister}})
+			if err != nil {
+				return nil, 0, err
+			}
+			// Each hammer pair also runs its benign twin, and each DoS
+			// pair its victim-alone baseline.
+			return r, len(r.Hammer)*3/2 + len(r.DoS)*3/2, nil
+		}},
+		{"integrity", func(o Opts) (any, int, error) {
+			r, err := IntegritySweep(cfg, o, IntegrityOpts{Workloads: []string{"array"}, Steps: 2, CrashPoints: []int{-1}, Transactions: 5})
+			if err != nil {
+				return nil, 0, err
+			}
+			return r, len(r.Timing), nil
+		}},
+		{"faultsweep", func(o Opts) (any, int, error) {
+			r, err := FaultSweep(cfg, o, FaultSweepOpts{Workloads: []string{"array"}, Steps: 2, PlanSeeds: []int64{1}, CrashPoints: []int{-1}})
+			// The quarantine cell is the sweep's one timing cell.
+			return r, 1, err
+		}},
+	}
+	for _, e := range exps {
+		t.Run(e.name, func(t *testing.T) {
+			var want []byte
+			for _, parallel := range []int{1, 4} {
+				for _, hist := range []bool{false, true} {
+					o := sized
+					o.Parallel = parallel
+					if hist {
+						o.Obs = &ObsCollector{Hist: true}
+					}
+					res, n, err := e.run(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := json.Marshal(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = got
+					} else if !bytes.Equal(got, want) {
+						t.Errorf("parallel %d, hist %v: result differs from the serial unobserved run:\n%s\nvs\n%s", parallel, hist, got, want)
+					}
+					if !hist {
+						continue
+					}
+					cells := o.Obs.Cells()
+					if len(cells) != n {
+						t.Errorf("parallel %d: %d captures, want one per timing cell (%d)", parallel, len(cells), n)
+					}
+					for i, c := range cells {
+						if c.Cell != i {
+							t.Errorf("parallel %d: capture %d (%s) is numbered cell %d", parallel, i, c.Label, c.Cell)
+						}
+					}
+				}
+			}
+		})
 	}
 }

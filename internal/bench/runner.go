@@ -14,83 +14,24 @@ import (
 	"supermem/internal/trace"
 )
 
-// Runner executes a slice of independent simulation cells across a
-// worker pool. Each cell builds (or replays from the trace cache) its
-// op streams and runs a fresh core.System, so cells share no mutable
-// state and the aggregated results are byte-identical to a serial run.
-type Runner struct {
-	// Parallel is the worker count; <= 0 means GOMAXPROCS.
-	Parallel int
-	// Obs, if non-nil, attaches a per-cell observability recorder to
-	// every simulation and collects the results. Recorders are created
-	// and collected in cell order, so the captured histograms and trace
-	// events are independent of worker scheduling.
-	Obs *ObsCollector
-
-	cache *TraceCache
-}
-
-// NewRunner returns a runner with the given worker count (<= 0 means
-// GOMAXPROCS) and a fresh trace cache.
-func NewRunner(parallel int) *Runner {
-	return &Runner{Parallel: parallel, cache: NewTraceCache()}
-}
-
-// CacheStats reports this runner's trace cache hit/miss counts.
-func (r *Runner) CacheStats() (hits, misses int64) { return r.cache.Stats() }
-
-// RunCells executes every cell (one simulation spec each) and returns
-// the metrics in cell order. Workers run concurrently, but the returned
-// slice (and therefore any table assembled from it) is independent of
-// scheduling. On failure the lowest-index error is returned, so errors
-// are deterministic too.
-func (r *Runner) RunCells(cells []Spec) ([]stats.Metrics, error) {
-	var (
-		recs     []*obs.Recorder
-		captures []CellObs
-	)
-	if r.Obs != nil {
-		recs = make([]*obs.Recorder, len(cells))
-		captures = make([]CellObs, len(cells))
-		for i, s := range cells {
-			label := cellLabel(s)
-			recs[i] = r.Obs.newRecorder(label)
-			captures[i] = CellObs{Label: label, TxBytes: s.TxBytes, WriteQueue: s.Base.WriteQueueEntries, Rec: recs[i]}
-		}
-	}
-	out, err := r.run(cells, recs)
-	if err != nil {
-		return nil, err
-	}
-	if r.Obs != nil {
-		r.Obs.collect(captures)
-	}
-	return out, nil
-}
-
-// RunObserved is RunCells with a histogram recorder on every cell,
-// returned in cell order, for experiments that read their quantiles
-// from the recorders. It ignores r.Obs.
-func (r *Runner) RunObserved(cells []Spec) ([]stats.Metrics, []*obs.Recorder, error) {
-	recs := make([]*obs.Recorder, len(cells))
-	for i := range recs {
-		recs[i] = obs.NewRecorder(obs.Options{})
-	}
-	out, err := r.run(cells, recs)
-	return out, recs, err
-}
-
-// run executes the cells, attaching recs[i] (if recs is non-nil) to
-// cell i.
-func (r *Runner) run(cells []Spec, recs []*obs.Recorder) ([]stats.Metrics, error) {
-	r.cache.Plan(cells)
+// runCells is the one way an experiment runs its timing cells. It
+// plans a fresh trace cache for the cells, runs them across o.Parallel
+// workers (each replaying its cached op streams through a fresh
+// core.System, so cells share no mutable state), and returns the
+// metrics and recorders in cell order, byte-identical at any worker
+// count. A cell the collector o.Obs wants runs with the collector's
+// recorder; any other cell gets a plain histogram recorder when
+// observe is set (the caller reads the recorders) and none otherwise.
+// The collector receives its cells in cell order once all have run. On
+// failure the lowest-index error is returned, so errors are
+// deterministic too.
+func (o Opts) runCells(cells []Spec, observe bool) ([]stats.Metrics, []*obs.Recorder, error) {
+	recs, captures := o.recorders(cells, observe)
+	cache := NewTraceCache()
+	cache.Plan(cells)
 	out := make([]stats.Metrics, len(cells))
-	err := par.ForEachIndex(r.Parallel, len(cells), func(i int) error {
-		var rec *obs.Recorder
-		if recs != nil {
-			rec = recs[i]
-		}
-		m, err := r.runCell(cells[i], rec)
+	err := par.ForEachIndex(o.Parallel, len(cells), func(i int) error {
+		m, err := runCell(cache, cells[i], recs[i])
 		if err != nil {
 			return fmt.Errorf("%s/%v: %w", cells[i].Workload, cells[i].Scheme, err)
 		}
@@ -98,14 +39,32 @@ func (r *Runner) run(cells []Spec, recs []*obs.Recorder) ([]stats.Metrics, error
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	o.Obs.collect(captures)
+	return out, recs, nil
+}
+
+// recorders picks each cell's recorder, as runCells describes, and
+// returns the collector's captures for the cells it wants. A cell that
+// builds its own system (the fault sweep's quarantine cell) takes its
+// recorder here too.
+func (o Opts) recorders(cells []Spec, observe bool) (recs []*obs.Recorder, captures []CellObs) {
+	recs = make([]*obs.Recorder, len(cells))
+	for i, s := range cells {
+		if c := o.Obs.newCell(cellLabel(s), s.TxBytes, s.Base.WriteQueueEntries); c.Rec != nil {
+			recs[i] = c.Rec
+			captures = append(captures, c)
+		} else if observe {
+			recs[i] = obs.NewRecorder(obs.Options{})
+		}
+	}
+	return recs, captures
 }
 
 // runCell replays a cell's (cached) op streams through a fresh system.
-func (r *Runner) runCell(spec Spec, rec *obs.Recorder) (stats.Metrics, error) {
-	sources, err := r.cache.Sources(spec)
+func runCell(cache *TraceCache, spec Spec, rec *obs.Recorder) (stats.Metrics, error) {
+	sources, err := cache.Sources(spec)
 	if err != nil {
 		return stats.Metrics{}, err
 	}
@@ -198,7 +157,7 @@ type traceEntry struct {
 // TraceCache memoizes BuildSources recordings so a figure row's schemes
 // regenerate their op streams once instead of once per scheme. Lookups
 // for a key being built block until the builder finishes (each stream
-// is generated exactly once even under concurrency). When RunCells has
+// is generated exactly once even under concurrency). When runCells has
 // planned the cell grid, entries are evicted after their last planned
 // use, bounding memory to the keys currently in flight.
 type TraceCache struct {
@@ -282,11 +241,11 @@ func replaySources(ops [][]trace.Op) []trace.Source {
 }
 
 // Package-wide cache counters, so the CLI can report per-experiment
-// hit/miss deltas across the runners the figure functions create.
+// hit/miss deltas across the caches each experiment's runCells creates.
 var cacheHits, cacheMisses atomic.Int64
 
 // CacheStats reports the cumulative trace-cache hits and misses across
-// all runners in this process.
+// all trace caches in this process.
 func CacheStats() (hits, misses int64) {
 	return cacheHits.Load(), cacheMisses.Load()
 }

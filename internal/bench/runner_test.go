@@ -51,17 +51,18 @@ func TestCachedTraceMatchesRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(2)
+	o.Parallel = 2
+	h0, m0 := CacheStats()
 	// Two identical cells: the second replays the first's recording.
-	ms, err := r.RunCells([]Spec{spec, spec})
+	ms, _, err := o.runCells([]Spec{spec, spec}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ms[0] != direct || ms[1] != direct {
 		t.Fatalf("cached replay diverged: direct %+v, cells %+v / %+v", direct, ms[0], ms[1])
 	}
-	hits, misses := r.CacheStats()
-	if misses != 1 || hits != 1 {
+	h1, m1 := CacheStats()
+	if hits, misses := h1-h0, m1-m0; misses != 1 || hits != 1 {
 		t.Fatalf("cache stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
 }
@@ -74,11 +75,12 @@ func TestRunnerSharesTracesAcrossSchemes(t *testing.T) {
 	for _, s := range config.AllSchemes() {
 		cells = append(cells, o.spec(tinyBase(), "array", s, 256, 1))
 	}
-	r := NewRunner(o.Parallel)
-	if _, err := r.RunCells(cells); err != nil {
+	h0, m0 := CacheStats()
+	if _, _, err := o.runCells(cells, false); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := r.CacheStats()
+	h1, m1 := CacheStats()
+	hits, misses := h1-h0, m1-m0
 	if misses != 1 {
 		t.Errorf("6-scheme row built sources %d times, want 1", misses)
 	}
@@ -117,10 +119,10 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 		o.spec(tinyBase(), "queue", config.SuperMem, 256, 1),
 	}
 	for _, workers := range []int{1, 4} {
-		r := NewRunner(workers)
-		_, err := r.RunCells(cells)
+		o.Parallel = workers
+		_, _, err := o.runCells(cells, false)
 		if err == nil || !strings.Contains(err.Error(), "unknown") {
-			t.Fatalf("workers=%d: RunCells error = %v, want unknown-workload error", workers, err)
+			t.Fatalf("workers=%d: runCells error = %v, want unknown-workload error", workers, err)
 		}
 		if !strings.Contains(err.Error(), "nope") {
 			t.Fatalf("workers=%d: error %v does not name the failing cell", workers, err)
