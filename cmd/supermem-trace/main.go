@@ -99,7 +99,7 @@ func record(args []string) {
 	fmt.Printf("wrote %d ops to %s\n", len(ops), *out)
 }
 
-func load(path string) []trace.Op {
+func load(path string) trace.Stream {
 	f, err := os.Open(path)
 	if err != nil {
 		fail(err)
@@ -121,7 +121,8 @@ func info(args []string) {
 	ops := load(fs.Arg(0))
 	var counts [8]int
 	lines := map[uint64]bool{}
-	for _, op := range ops {
+	for i := range ops {
+		op := ops.At(i)
 		counts[op.Kind]++
 		switch op.Kind {
 		case trace.Read, trace.Write, trace.Flush:
@@ -177,7 +178,7 @@ func replay(args []string) {
 		rec = obs.NewRecorder(obs.Options{Window: *obsWindow, Trace: *eventsOut != "", MaxTraceEvents: *eventsMax})
 		sys.SetRecorder(rec)
 	}
-	m, err := sys.Run([]trace.Source{trace.NewSliceSource(ops)})
+	m, err := sys.Run([]trace.Source{ops.Source()})
 	if err != nil {
 		fail(err)
 	}

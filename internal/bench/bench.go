@@ -231,17 +231,23 @@ func warmupSteps(spec Spec, wl string) int {
 	}
 }
 
-// BuildSources records the per-core op streams for a spec, one slice
-// per core (exported for the trace tool).
-func BuildSources(spec Spec) ([][]trace.Op, error) {
+// coreWorkload returns the workload core i runs: its CoreWorkloads
+// entry, or Workload.
+func (s Spec) coreWorkload(i int) string {
+	if i < len(s.CoreWorkloads) && s.CoreWorkloads[i] != "" {
+		return s.CoreWorkloads[i]
+	}
+	return s.Workload
+}
+
+// BuildSources records the per-core op streams for a spec, one packed
+// stream per core (exported for the trace tool).
+func BuildSources(spec Spec) ([]trace.Stream, error) {
 	cfg := spec.config()
 	layout := nvm.NewLayout(cfg)
-	streams := make([][]trace.Op, spec.Cores)
+	streams := make([]trace.Stream, spec.Cores)
 	for i := 0; i < spec.Cores; i++ {
-		wl := spec.Workload
-		if i < len(spec.CoreWorkloads) && spec.CoreWorkloads[i] != "" {
-			wl = spec.CoreWorkloads[i]
-		}
+		wl := spec.coreWorkload(i)
 		firstBank, nbanks := bankAssignment(i, spec.Cores, cfg.Banks, spec.SingleCoreBanks)
 		// Size each bank's region generously: structures keep growing
 		// past the footprint during the measured phase.
@@ -308,7 +314,7 @@ func BuildSources(spec Spec) ([][]trace.Op, error) {
 				return nil, fmt.Errorf("bench: core %d step %d: %w", i, s, err)
 			}
 		}
-		streams[i] = b.Ops()
+		streams[i] = b.Stream()
 	}
 	return streams, nil
 }

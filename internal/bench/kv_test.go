@@ -71,7 +71,7 @@ func TestKVServeDeterministic(t *testing.T) {
 func TestKVShardStreamStableAcrossShardCounts(t *testing.T) {
 	spec := kvSpec()
 	spec.Transactions = 20
-	record := func(cores int) [][]trace.Op {
+	record := func(cores int) []trace.Stream {
 		spec.Cores = cores
 		ops, err := BuildSources(spec)
 		if err != nil {

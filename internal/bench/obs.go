@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"supermem/internal/obs"
@@ -13,7 +15,7 @@ type CellObs struct {
 	// repeat (every MLP core variant has a btree/WT cell); the index
 	// tells such cells apart.
 	Cell int `json:"cell"`
-	// Label is "<workload>/<scheme>".
+	// Label is "<workload>/<scheme>" (see cellLabel).
 	Label string `json:"label"`
 	// TxBytes is the cell's transaction size.
 	TxBytes int `json:"tx_bytes"`
@@ -31,8 +33,20 @@ func (c CellObs) Name() string {
 	return fmt.Sprintf("cell %d %s tx=%dB wq=%d", c.Cell, c.Label, c.TxBytes, c.WriteQueue)
 }
 
-// cellLabel renders a spec's collector label.
-func cellLabel(s Spec) string { return s.Workload + "/" + s.Scheme.String() }
+// cellLabel renders a spec's collector label, "<workload>/<scheme>". A
+// cell whose cores run different workloads names each distinct one in
+// core order, joined by "+": the attack's DoS cells, a hotbank attacker
+// on core 0 beside the array victim, read "hotbank+array/WT", apart
+// from the victim-alone "array/WT".
+func cellLabel(s Spec) string {
+	var wls []string
+	for i := 0; i < s.Cores; i++ {
+		if wl := s.coreWorkload(i); !slices.Contains(wls, wl) {
+			wls = append(wls, wl)
+		}
+	}
+	return strings.Join(wls, "+") + "/" + s.Scheme.String()
+}
 
 // ObsCollector attaches observability recorders to benchmark cells and
 // gathers their results. Histograms are collected for every cell when
@@ -52,7 +66,7 @@ type ObsCollector struct {
 	// Hist enables histogram collection on every cell.
 	Hist bool
 	// TraceLabel selects trace-event cells by "<workload>/<scheme>"
-	// label ("" disables tracing).
+	// label, as cellLabel renders it ("" disables tracing).
 	TraceLabel string
 	// MaxTraceEvents caps each traced cell's event buffer (0 = default).
 	MaxTraceEvents int

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"testing"
 
 	"supermem/internal/config"
@@ -85,6 +86,44 @@ func TestObsCollectorSkipsUntracedCells(t *testing.T) {
 	}
 	if got := len(c.Cells()); got != 0 {
 		t.Errorf("collected %d cells, want 0", got)
+	}
+}
+
+// TestCellLabelNamesCoreWorkloads: a cell whose cores run different
+// workloads is labelled by all of them, so the attack's DoS cells read
+// apart from their victim-alone baselines.
+func TestCellLabelNamesCoreWorkloads(t *testing.T) {
+	cases := []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Workload: "array", Scheme: config.WT, Cores: 1}, "array/WT"},
+		{Spec{Workload: "array", Scheme: config.WT, Cores: 8}, "array/WT"},
+		{Spec{Workload: "array", Scheme: config.WT, Cores: 2, CoreWorkloads: [4]string{"hotbank"}}, "hotbank+array/WT"},
+		{Spec{Workload: "array", Scheme: config.WT, Cores: 1, CoreWorkloads: [4]string{"array"}}, "array/WT"},
+		{Spec{Workload: "btree", Scheme: config.SuperMem, Cores: 3, CoreWorkloads: [4]string{"", "queue"}}, "btree+queue/SuperMem"},
+	}
+	for _, c := range cases {
+		if got := cellLabel(c.spec); got != c.want {
+			t.Errorf("cellLabel(%d cores, %q, %v) = %q, want %q", c.spec.Cores, c.spec.Workload, c.spec.CoreWorkloads, got, c.want)
+		}
+	}
+
+	o := Opts{Transactions: 5, FootprintBytes: 64 << 10, Seed: 1, Obs: &ObsCollector{Hist: true}}
+	ao := AttackOpts{Schemes: []config.Scheme{config.WT}, Steps: 8, LoopIterations: 1, CrashSteps: 2, Modes: []machine.Mode{machine.WTRegister}}
+	if _, err := AttackSweep(config.Default(), o, ao); err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]int{}
+	for _, c := range o.Obs.Cells() {
+		labels[c.Label]++
+	}
+	// Per scheme: the hammer triplet, then the DoS triplet's
+	// victim-alone baseline and its unmitigated and wear-leveled
+	// attacked cells.
+	want := map[string]int{"ctrhammer/WT": 3, "array/WT": 1, "hotbank+array/WT": 2}
+	if !maps.Equal(labels, want) {
+		t.Errorf("attack cell labels %v, want %v", labels, want)
 	}
 }
 

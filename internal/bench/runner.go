@@ -147,11 +147,12 @@ func mustKeyByValue(name string, t reflect.Type) {
 	}
 }
 
-// traceEntry is one cached recording; ready closes once ops/err are set.
+// traceEntry is one cached recording; ready closes once streams/err
+// are set.
 type traceEntry struct {
-	ready chan struct{}
-	ops   [][]trace.Op
-	err   error
+	ready   chan struct{}
+	streams []trace.Stream
+	err     error
 }
 
 // TraceCache memoizes BuildSources recordings so a figure row's schemes
@@ -203,7 +204,7 @@ func (c *TraceCache) Sources(spec Spec) ([]trace.Source, error) {
 	}
 	if n, planned := c.remaining[k]; planned {
 		if n <= 1 {
-			// Last planned use: the entry's ops stay alive through the
+			// Last planned use: the entry's streams stay alive through the
 			// returned sources, but the cache lets go of them.
 			delete(c.remaining, k)
 			delete(c.entries, k)
@@ -216,7 +217,7 @@ func (c *TraceCache) Sources(spec Spec) ([]trace.Source, error) {
 	if !ok {
 		c.misses.Add(1)
 		cacheMisses.Add(1)
-		e.ops, e.err = BuildSources(spec)
+		e.streams, e.err = BuildSources(spec)
 		close(e.ready)
 	} else {
 		c.hits.Add(1)
@@ -226,16 +227,16 @@ func (c *TraceCache) Sources(spec Spec) ([]trace.Source, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	return replaySources(e.ops), nil
+	return replaySources(e.streams), nil
 }
 
 // replaySources wraps recorded per-core op streams in fresh replay
 // sources (*trace.SliceSource); the streams themselves are shared, not
 // copied.
-func replaySources(ops [][]trace.Op) []trace.Source {
-	sources := make([]trace.Source, len(ops))
-	for i, o := range ops {
-		sources[i] = trace.NewSliceSource(o)
+func replaySources(streams []trace.Stream) []trace.Source {
+	sources := make([]trace.Source, len(streams))
+	for i, s := range streams {
+		sources[i] = s.Source()
 	}
 	return sources
 }

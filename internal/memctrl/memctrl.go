@@ -306,9 +306,14 @@ func (c *Controller) fits(entries []Entry) (v victims, ok bool) {
 
 // findCoalescible returns the index of the un-issued counter entry with
 // the given address, or -1. The counter flag check makes the scan cheap
-// in hardware (only flagged entries are compared).
+// in hardware (only flagged entries are compared). The scan starts at
+// the tail, because admit re-appends each coalesced counter line there,
+// so hits sit near the back. The direction cannot change the answer:
+// admit removes an address's un-issued counter entry before appending
+// its successor, so at most one exists per address
+// (TestCWCOneUnissuedCounterPerAddress).
 func (c *Controller) findCoalescible(addr uint64) int {
-	for i := range c.queue {
+	for i := len(c.queue) - 1; i >= 0; i-- {
 		if c.queue[i].counter && c.queue[i].addr == addr {
 			return i
 		}

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand"
 	"testing"
 
 	"supermem/internal/config"
@@ -187,6 +188,61 @@ func TestCWCTwoCounterGroup(t *testing.T) {
 	for _, b := range []int{1, 2} {
 		if w := r.dev.Stats()[b].Writes; w != 1 {
 			t.Errorf("bank %d took %d writes, want 1: one survivor per line", b, w)
+		}
+	}
+}
+
+// TestCWCOneUnissuedCounterPerAddress drives random enqueue, issue and
+// retire sequences under CWC and checks, after every step, that no
+// counter address has two un-issued entries. findCoalescible scans from
+// the tail on the strength of it: with one entry per address, the first
+// match from either end is the same index.
+func TestCWCOneUnissuedCounterPerAddress(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := newRig(t, 2+rng.Intn(31), true)
+		entry := func() Entry {
+			bank, line := rng.Intn(4), uint64(rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				return r.ctr(bank, line)
+			}
+			return r.data(bank, line)
+		}
+		now := uint64(0)
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				group := []Entry{entry()}
+				if rng.Intn(2) == 0 {
+					group = append(group, entry())
+				}
+				r.c.Enqueue(now, group, func(uint64) {})
+			case op < 9:
+				// Let time pass: banks free, queued entries issue and
+				// retire, and stalled groups are admitted.
+				now += uint64(rng.Intn(400))
+				r.eng.RunUntil(now)
+			default:
+				r.c.Flush(now)
+			}
+			seen := map[uint64]int{}
+			for i, p := range r.c.queue {
+				if !p.counter {
+					continue
+				}
+				if j, dup := seen[p.addr]; dup {
+					t.Fatalf("seed %d step %d: counter %#x un-issued at queue indices %d and %d", seed, step, p.addr, j, i)
+				}
+				seen[p.addr] = i
+				if got := r.c.findCoalescible(p.addr); got != i {
+					t.Fatalf("seed %d step %d: findCoalescible(%#x) = %d, want %d", seed, step, p.addr, got, i)
+				}
+			}
+		}
+		r.c.Flush(now)
+		r.eng.Run()
+		if !r.c.Drained() {
+			t.Fatalf("seed %d: queue not drained", seed)
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"supermem/internal/arena"
 	"supermem/internal/config"
 	"supermem/internal/trace"
 )
@@ -45,41 +44,46 @@ type Marker interface {
 // stream drives the timing simulator.
 //
 // A large workload build appends millions of ops and touches hundreds
-// of thousands of lines, so the op stream lives in a chunked arena
-// buffer (no copy-and-double growth) and memory is kept in 4 KiB pages:
-// one map entry and one allocation per page rather than per line, with
-// a mask of the lines Load or Store has touched.
+// of thousands of lines, so the op stream is recorded packed into
+// chunks (trace.Builder: no copy-and-double growth) and memory is kept
+// in 4 KiB pages: one map entry and one allocation per page rather
+// than per line, with a mask of the lines Load or Store has touched.
 type TracingBackend struct {
-	pages map[uint64]*page // page base -> page
-	ops   arena.Chunks[trace.Op]
+	pages map[uint64]page // page base -> page
+	ops   trace.Builder
 }
 
 // page is one 4 KiB page of functional memory. Bit k of lines is set
 // once Load or Store has touched line k, so Lines can report exactly
-// the lines the workload touched.
+// the lines the workload touched. The mask lives in the map value
+// beside the data pointer, so each page is one exactly 4096-byte
+// allocation, which Go's allocator serves without padding.
 type page struct {
-	data  [config.PageSize]byte
+	data  *[config.PageSize]byte
 	lines uint64
 }
 
 // NewTracingBackend returns an empty tracing backend.
 func NewTracingBackend() *TracingBackend {
-	return &TracingBackend{pages: make(map[uint64]*page)}
+	return &TracingBackend{pages: make(map[uint64]page)}
 }
 
 func lineBase(addr uint64) uint64 { return addr &^ (config.LineSize - 1) }
 
 // line returns the bytes from addr to the end of its line, materializing
-// the page and marking the line touched.
+// the page and marking the line touched. The map is written only when
+// a page or a line is touched for the first time.
 func (b *TracingBackend) line(addr uint64) []byte {
 	pb := addr &^ (config.PageSize - 1)
 	p, ok := b.pages[pb]
 	if !ok {
-		p = new(page)
-		b.pages[pb] = p
+		p.data = new([config.PageSize]byte)
 	}
 	off := addr - pb
-	p.lines |= 1 << (off / config.LineSize)
+	if bit := uint64(1) << (off / config.LineSize); p.lines&bit == 0 {
+		p.lines |= bit
+		b.pages[pb] = p
+	}
 	return p.data[off : lineBase(off)+config.LineSize]
 }
 
@@ -117,9 +121,13 @@ func (b *TracingBackend) SFence() {
 // Mark implements Marker.
 func (b *TracingBackend) Mark(op trace.Op) { b.ops.Append(op) }
 
-// Ops returns the recorded op stream as one contiguous slice (a single
-// exact-size copy out of the chunked buffer).
-func (b *TracingBackend) Ops() []trace.Op { return b.ops.Flatten() }
+// Stream returns the recorded op stream, packed and exactly sized (one
+// copy out of the chunked recording).
+func (b *TracingBackend) Stream() trace.Stream { return b.ops.Stream() }
+
+// Ops returns the recorded op stream unpacked, each op in its
+// canonical form (trace.Stream), for tests and inspection.
+func (b *TracingBackend) Ops() []trace.Op { return b.Stream().Ops() }
 
 // Lines returns the sorted base addresses of every memory line the
 // backend has ever touched through Load or Store — the address space
