@@ -136,9 +136,20 @@ func TestRegistryConformance(t *testing.T) {
 	if code := run(exps, []string{"-exp", "fig99"}); code != 2 {
 		t.Errorf("unknown -exp exit code %d, want 2", code)
 	}
-	// A misspelt per-experiment core model fails at flag parsing, before
-	// any cell is simulated, as -core does.
-	for _, args := range [][]string{{"-exp", "kv", "-kv-core", "bogus"}, {"-exp", "attack", "-attack-core", "bogus"}} {
+	// A misspelt per-experiment core model or workload, or a count out
+	// of range, fails at flag parsing, before any cell is simulated, as
+	// -core does.
+	for _, args := range [][]string{
+		{"-exp", "kv", "-kv-core", "bogus"},
+		{"-exp", "attack", "-attack-core", "bogus"},
+		{"-exp", "attack", "-attack-steps", "-3"},
+		{"-exp", "attack", "-attack-loop", "-1"},
+		{"-exp", "attack", "-attack-bound", "-2"},
+		{"-exp", "crash", "-crash-steps", "0"},
+		{"-exp", "crash", "-crash-steps", "-1"},
+		{"-exp", "crash", "-crash-maxpoints", "-1"},
+		{"-exp", "crash", "-crash-workload", "bogus"},
+	} {
 		if code := run(exps, args); code != 2 {
 			t.Errorf("%v exit code %d, want 2", args, code)
 		}

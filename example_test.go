@@ -34,15 +34,19 @@ func ExampleSimulate() {
 	// WT writes about 2x the NVM lines of an un-encrypted system
 }
 
-// ExampleCrashSweep crash-tests every persistence step of a workload on
+// ExampleCrashFuzz crash-tests every persistence step of a workload on
 // the byte-accurate SuperMem machine: the recovered structure always
 // matches a transaction boundary.
-func ExampleCrashSweep() {
-	res, err := supermem.CrashSweep(supermem.CrashSuperMem, "array", 4, 3)
+func ExampleCrashFuzz() {
+	res, err := supermem.CrashFuzz(supermem.CrashFuzzParams{
+		Workload: "array",
+		Steps:    4,
+		Modes:    []supermem.CrashMode{supermem.CrashSuperMem},
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("all crash points consistent:", res.Consistent())
+	fmt.Println("all crash points consistent:", res.Verdicts[0].Consistent())
 	// Output:
 	// all crash points consistent: true
 }

@@ -23,18 +23,23 @@ func main() {
 	}
 	fmt.Println(res)
 
-	fmt.Println("Whole-structure crash fuzzing (every 2nd persistence step,")
+	fmt.Println("Whole-structure crash fuzzing (every persistence step,")
 	fmt.Println("recovered state checked against a deterministic replay):")
 	fmt.Println()
 	for _, mode := range []supermem.CrashMode{supermem.CrashSuperMem, supermem.CrashWBNoBattery} {
 		for _, wl := range []string{"queue", "btree", "rbtree"} {
-			sweep, err := supermem.CrashSweep(mode, wl, 8, 2)
+			fuzz, err := supermem.CrashFuzz(supermem.CrashFuzzParams{
+				Workload: wl,
+				Steps:    8,
+				Modes:    []supermem.CrashMode{mode},
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
+			v := fuzz.Verdicts[0]
 			verdict := "every crash point consistent"
-			if !sweep.Consistent() {
-				verdict = fmt.Sprintf("%d/%d crash points CORRUPTED", len(sweep.Inconsistent), sweep.TotalPoints)
+			if !v.Consistent() {
+				verdict = fmt.Sprintf("%d/%d crash points CORRUPTED", len(v.Inconsistent), v.Tested)
 			}
 			fmt.Printf("  %-14s %-8s: %s\n", mode, wl, verdict)
 		}

@@ -11,7 +11,6 @@ import (
 	"supermem/internal/fault"
 	"supermem/internal/machine"
 	"supermem/internal/obs"
-	"supermem/internal/par"
 	"supermem/internal/stats"
 	"supermem/internal/workload"
 )
@@ -239,9 +238,9 @@ func attackExperiment() Experiment {
 		Name:  "attack",
 		Claim: "every attack did damage unmitigated and every mitigation measurably reduced it",
 		Flags: func(fs *flag.FlagSet) {
-			fs.IntVar(&ao.Steps, "attack-steps", 0, "measured attacker steps per timing cell for -exp attack (default 64)")
-			fs.IntVar(&ao.LoopIterations, "attack-loop", 0, "crash-loop iterations for -exp attack (default 6)")
-			fs.IntVar(&ao.RecoveryBound, "attack-bound", 0, "recovery-work bound of the mitigated crash-loop cells (default 16)")
+			intFlag(fs, &ao.Steps, "attack-steps", 0, atLeast(0), "measured attacker steps per timing cell for -exp attack (default 64)")
+			intFlag(fs, &ao.LoopIterations, "attack-loop", 0, atLeast(0), "crash-loop iterations for -exp attack (default 6)")
+			intFlag(fs, &ao.RecoveryBound, "attack-bound", 0, atLeast(0), "recovery-work bound of the mitigated crash-loop cells (default 16)")
 			fs.Func("attack-core", "attacker core timing model for -exp attack (inorder or ooo; default: the -core model; victims always run in-order)", coreModelFlag(&ao.AttackerModel))
 		},
 		Run: func(cfg config.Config, o Opts) (Result, error) { return AttackSweep(cfg, o, ao) },
@@ -449,17 +448,11 @@ func sumSeries(rec *obs.Recorder, s obs.SeriesID) uint64 {
 	return total
 }
 
-// loopPoint is one scanned crash point and its recovery cost.
-type loopPoint struct {
-	at   int
-	cost int
-}
-
-// scanRecoveryCosts measures the recovery cost of up to 64 evenly
-// strided crash points over the workload's persist timeline, all forked
-// from one run, and returns them sorted worst-first (ties by earlier
-// crash point).
-func scanRecoveryCosts(p crash.Params) ([]loopPoint, error) {
+// scanRecoveries recovers up to 64 evenly strided crash points over
+// the workload's persist timeline, unbounded and all forked from one
+// run (crash.RunLoop), and returns them sorted worst-first by recovery
+// persists (ties by earlier crash point).
+func scanRecoveries(p crash.Params) ([]crash.LoopResult, error) {
 	total, err := crash.TotalPersists(p)
 	if err != nil {
 		return nil, err
@@ -467,27 +460,20 @@ func scanRecoveryCosts(p crash.Params) ([]loopPoint, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("workload %q produced no persists", p.Workload)
 	}
-	stride := total / 64
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(total/64, 1)
 	var at []int
 	for a := 0; a < total; a += stride {
 		at = append(at, a)
 	}
-	costs, err := crash.RecoveryCosts(p, at)
+	points, err := crash.RunLoop(p, at, 0)
 	if err != nil {
 		return nil, err
 	}
-	points := make([]loopPoint, len(at))
-	for i := range at {
-		points[i] = loopPoint{at: at[i], cost: costs[i]}
-	}
 	sort.SliceStable(points, func(i, j int) bool {
-		if points[i].cost != points[j].cost {
-			return points[i].cost > points[j].cost
+		if points[i].RecoveryPersists != points[j].RecoveryPersists {
+			return points[i].RecoveryPersists > points[j].RecoveryPersists
 		}
-		return points[i].at < points[j].at
+		return points[i].CrashAt < points[j].CrashAt
 	})
 	return points, nil
 }
@@ -506,66 +492,52 @@ func crashLoopCells(mode machine.Mode, o Opts, ao AttackOpts) (off, on CrashLoop
 	}
 	pBase := crash.Params{Mode: mode, Workload: "array", Steps: ao.CrashSteps, Seed: o.Seed}
 
-	atkPoints, err := scanRecoveryCosts(pAtk)
+	atkPoints, err := scanRecoveries(pAtk)
 	if err != nil {
 		return off, on, err
 	}
-	basePoints, err := scanRecoveryCosts(pBase)
+	basePoints, err := scanRecoveries(pBase)
 	if err != nil {
 		return off, on, err
 	}
 	worst := atkPoints[0]
-	baselineWorst := basePoints[0].cost
-	amp := float64(worst.cost) / float64(max(baselineWorst, 1))
+	baselineWorst := basePoints[0].RecoveryPersists
+	amp := float64(worst.RecoveryPersists) / float64(max(baselineWorst, 1))
 
-	iters := ao.LoopIterations
-	if iters > len(atkPoints) {
-		iters = len(atkPoints)
+	// The unmitigated loop's recoveries are the scan's own at the
+	// schedule's points; the mitigated loop recovers the same points,
+	// forked in crash-point order, under the bound.
+	schedule := atkPoints[:min(ao.LoopIterations, len(atkPoints))]
+	at := make([]int, len(schedule))
+	for i, r := range schedule {
+		at[i] = r.CrashAt
 	}
-	schedule := atkPoints[:iters]
-
-	runLoop := func(bound int) (CrashLoopCell, error) {
-		cell := CrashLoopCell{
+	sort.Ints(at)
+	bounded, err := crash.RunLoop(pAtk, at, ao.RecoveryBound)
+	if err != nil {
+		return off, on, err
+	}
+	cell := func(bound int, results []crash.LoopResult) CrashLoopCell {
+		c := CrashLoopCell{
 			Mode:                  mode.String(),
 			Mitigated:             bound > 0,
-			WorstCrashAt:          worst.at,
-			WorstRecoveryPersists: worst.cost,
+			WorstCrashAt:          worst.CrashAt,
+			WorstRecoveryPersists: worst.RecoveryPersists,
 			BaselineWorst:         baselineWorst,
 			Amplification:         amp,
-			Iterations:            iters,
+			Iterations:            len(results),
 			AllConsistent:         true,
 		}
-		results := make([]crash.LoopResult, iters)
-		err := par.ForEachIndex(o.Parallel, iters, func(i int) error {
-			r, err := crash.RunLoopIteration(pAtk, schedule[i].at, bound)
-			if err != nil {
-				return err
-			}
-			results[i] = r
-			return nil
-		})
-		if err != nil {
-			return cell, err
-		}
 		for _, r := range results {
-			cell.TotalRecoveryPersists += r.RecoveryPersists
-			cell.TotalPasses += r.Passes
-			cell.BoundedPasses += r.BoundedPasses
-			if r.MaxPassPersists > cell.MaxPassPersists {
-				cell.MaxPassPersists = r.MaxPassPersists
-			}
-			if !r.Consistent {
-				cell.AllConsistent = false
-			}
+			c.TotalRecoveryPersists += r.RecoveryPersists
+			c.TotalPasses += r.Passes
+			c.BoundedPasses += r.BoundedPasses
+			c.MaxPassPersists = max(c.MaxPassPersists, r.MaxPassPersists)
+			c.AllConsistent = c.AllConsistent && r.Consistent
 		}
-		return cell, nil
+		return c
 	}
-	if off, err = runLoop(0); err != nil {
-		return off, on, err
-	}
-	if on, err = runLoop(ao.RecoveryBound); err != nil {
-		return off, on, err
-	}
+	off, on = cell(0, schedule), cell(ao.RecoveryBound, bounded)
 
 	// Differential fault injection at the worst crash point (with a
 	// nested recovery crash) under strong ECC, recovery bound enabled:
@@ -576,7 +548,7 @@ func crashLoopCells(mode machine.Mode, o Opts, ao AttackOpts) (off, on CrashLoop
 	if err != nil {
 		return off, on, err
 	}
-	fres, err := crash.RunFault(pf, plan, fault.ECCStrong(), worst.at, 1)
+	fres, err := crash.RunFault(pf, plan, fault.ECCStrong(), worst.CrashAt, 1)
 	if err != nil {
 		return off, on, err
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 
 	"supermem/internal/config"
@@ -33,9 +34,16 @@ func crashExperiment() Experiment {
 		Name:  "crash",
 		Claim: "every machine design's crash verdict matches Table 1 on every workload",
 		Flags: func(fs *flag.FlagSet) {
-			fs.StringVar(&wl, "crash-workload", "all", "workload for -exp crash: all or one of "+strings.Join(workload.Names, ", "))
-			fs.IntVar(&steps, "crash-steps", 6, "transactions per run for -exp crash")
-			fs.IntVar(&maxPoints, "crash-maxpoints", 24, "cap on crash points per mode for -exp crash (0 = exhaustive; sampling is stage-weighted)")
+			wl = "all"
+			fs.Func("crash-workload", "workload for -exp crash: all or one of "+strings.Join(workload.Names, ", ")+" (default all)", func(s string) error {
+				if s != "all" && !slices.Contains(workload.Names, s) {
+					return fmt.Errorf("unknown workload %q (want all or one of %s)", s, strings.Join(workload.Names, ", "))
+				}
+				wl = s
+				return nil
+			})
+			intFlag(fs, &steps, "crash-steps", 6, atLeast(1), "transactions per run for -exp crash (default 6)")
+			intFlag(fs, &maxPoints, "crash-maxpoints", 24, atLeast(0), "cap on crash points per mode for -exp crash (default 24; 0 = exhaustive; sampling is stage-weighted)")
 			fs.BoolVar(&nested, "crash-nested", true, "also crash inside recovery for -exp crash")
 		},
 		Run: func(_ config.Config, o Opts) (Result, error) {

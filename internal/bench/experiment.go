@@ -187,6 +187,17 @@ func atLeast(min int) func(string) (int, error) {
 	}
 }
 
+// intFlag registers an integer flag whose value parse (atLeast) must
+// accept, so a bad value fails at flag parsing. Like fs.IntVar it
+// resets *dst to def at registration.
+func intFlag(fs *flag.FlagSet, dst *int, name string, def int, parse func(string) (int, error), usage string) {
+	*dst = def
+	fs.Func(name, usage, func(s string) (err error) {
+		*dst, err = parse(s)
+		return err
+	})
+}
+
 // coreModelFlag sets *dst to a flag's core-model name, refusing a name
 // config.Validate would, so a misspelling fails at flag parsing.
 func coreModelFlag(dst *string) func(string) error {

@@ -141,8 +141,9 @@ type Result struct {
 	Detail string
 }
 
-// newMachine builds the machine runToCrash and forkRun run on: p's
-// mode, key and recovery bound.
+// newMachine builds the machine every run of the workload steps
+// (profileRun, runToCrash and forkRun): p's mode, key and recovery
+// bound.
 func newMachine(p Params) (*machine.Machine, error) {
 	return machine.New(p.Mode, p.Key, machine.WithRecoveryBound(p.RecoveryBound))
 }
@@ -362,11 +363,11 @@ func recoverAndCheck(p Params, m *machine.Machine, w workload.Workload, complete
 }
 
 // replay rebuilds the workload's Go-side bookkeeping after n steps on a
-// scratch backend (deterministic: same seed, same heap layout). The
-// backend is returned too, so callers can diff its bytes against a
-// recovered machine.
-func replay(p Params, n int) (workload.Workload, *pmem.TracingBackend, error) {
-	b := pmem.NewTracingBackend()
+// scratch functional memory (deterministic: same seed, same heap
+// layout). The memory is returned too, so callers can diff its bytes
+// against a recovered machine.
+func replay(p Params, n int) (workload.Workload, *pmem.Memory, error) {
+	b := pmem.NewMemory()
 	w, tm, err := build(p, b)
 	if err != nil {
 		return nil, nil, err
@@ -384,9 +385,10 @@ func replay(p Params, n int) (workload.Workload, *pmem.TracingBackend, error) {
 // so every crash point, and every mode fuzzed at once, can check
 // against the same replay.
 // The mode is not part of the key: build only looks at the backend's
-// type, and replays run on a TracingBackend, so all modes share one
-// memo. Only the workload is kept: TracingBackend.Load grows the
-// backend, so a diff against replayed bytes takes a fresh replay.
+// type, and replays run on a pmem.Memory, so all modes share one memo.
+// Only the workload is kept: Memory.Load marks the lines it touches,
+// so a shared memory could not be read concurrently, and a diff
+// against replayed bytes takes a fresh replay.
 type replayMemo struct {
 	p     Params
 	slots []replaySlot
@@ -429,124 +431,65 @@ func (rm *replayMemo) matches(r *machine.Machine, completed int) (bool, error) {
 	return false, nil
 }
 
-// SweepResult aggregates a crash-point sweep.
-type SweepResult struct {
-	Params       Params
-	TotalPoints  int
-	Crashed      int
-	Inconsistent []Result
+// profile is what one crash-free run of the workload records, counted
+// from the end of setup: its persist steps, which are the domain of
+// crash points, each transaction's share of them, and the persist
+// index at the start of every commit stage (the prepare/mutate/commit
+// windows of Table 1, which the fuzzer's sampler weights toward).
+type profile struct {
+	total       int
+	txPersists  []int
+	stageStarts []int
 }
 
-// Consistent reports whether every crash point recovered consistently.
-func (s SweepResult) Consistent() bool { return len(s.Inconsistent) == 0 }
-
-// String summarises the sweep.
-func (s SweepResult) String() string {
-	return fmt.Sprintf("%s/%s: %d crash points, %d crashed, %d inconsistent",
-		s.Params.Mode, s.Params.Workload, s.TotalPoints, s.Crashed, len(s.Inconsistent))
-}
-
-// Sweep measures the run's total persistence steps, then crash-tests
-// every stride-th step, always including the final persist index even
-// when the stride does not divide the persist count (so last-window
-// crash points are never skipped). Stride 1 sweeps every persistence
-// step. Every point is forked from one crash-free run (forkRun).
-func Sweep(p Params, stride int) (SweepResult, error) {
-	p = p.withDefaults()
-	if stride < 1 {
-		stride = 1
-	}
-	total, err := TotalPersists(p)
+// profileRun runs the workload crash-free with rec (nil is fine)
+// attached after setup and verifies the final state. Its machine is
+// built as runToCrash and forkRun build theirs, so forkRun repeats this
+// run and reaches every point below the profile's total.
+func profileRun(p Params, rec *obs.Recorder) (profile, error) {
+	m, err := newMachine(p)
 	if err != nil {
-		return SweepResult{}, err
-	}
-	var points []int
-	for crashAt := 0; crashAt < total; crashAt += stride {
-		points = append(points, crashAt)
-	}
-	if total > 0 && (total-1)%stride != 0 {
-		points = append(points, total-1)
-	}
-	out := SweepResult{Params: p}
-	replays := newReplayMemo(p)
-	err = forkRun(p, points, func(f fork) error {
-		res, _, err := recoverAndCheck(p, f.m, nil, f.completed, points[f.i], -1, replays)
-		if err != nil {
-			return err
-		}
-		out.TotalPoints++
-		if res.Crashed {
-			out.Crashed++
-		}
-		if !res.Consistent {
-			out.Inconsistent = append(out.Inconsistent, res)
-		}
-		return nil
-	})
-	if err != nil {
-		return SweepResult{}, err
-	}
-	return out, nil
-}
-
-// persistProfile runs the workload crash-free and returns the persist
-// steps consumed by its transactions (after setup) plus the persist
-// index at the start of every commit stage — the prepare/mutate/commit
-// windows of Table 1, which the fuzzer's sampler weights toward.
-func persistProfile(p Params) (total int, stageStarts []int, err error) {
-	m, err := machine.New(p.Mode, p.Key)
-	if err != nil {
-		return 0, nil, err
+		return profile{}, err
 	}
 	w, tm, err := build(p, m)
 	if err != nil {
-		return 0, nil, err
+		return profile{}, err
 	}
+	m.SetRecorder(rec)
 	base := m.Persists()
-	tm.StageHook = func(pmem.Stage) { stageStarts = append(stageStarts, m.Persists()-base) }
+	pr := profile{txPersists: make([]int, 0, p.Steps)}
+	tm.StageHook = func(pmem.Stage) { pr.stageStarts = append(pr.stageStarts, m.Persists()-base) }
+	prev := base
 	for i := 0; i < p.Steps; i++ {
 		if err := w.Step(tm); err != nil {
-			return 0, nil, fmt.Errorf("crash: counting step %d: %w", i, err)
+			return profile{}, fmt.Errorf("crash: reference step %d: %w", i, err)
 		}
+		n := m.Persists() - prev
+		pr.txPersists = append(pr.txPersists, n)
+		// The machine has no cycle clock, so the "latency" histogram
+		// measures transactions in persist steps.
+		rec.Observe(obs.HistTxLatency, uint64(n))
+		prev = m.Persists()
 	}
-	return m.Persists() - base, stageStarts, nil
+	rec.Finish(uint64(m.Persists()))
+	pr.total = m.Persists() - base
+	if err := w.Verify(m); err != nil {
+		return profile{}, fmt.Errorf("crash: reference run verify: %w", err)
+	}
+	return pr, nil
 }
 
 // ReferenceRun executes the workload crash-free on the byte-accurate
 // machine with an observability recorder attached and verifies the
-// final state. It returns the persist-step count of each transaction —
-// the distribution behind the crash experiment's -hist output — while the
-// recorder (if tracing) captures every persist instant and RSR
-// re-encryption span the machine emits. Setup traffic is excluded: the
-// recorder attaches after setup, matching how crash sweeps count steps.
+// final state (profileRun). It returns the persist-step count of each
+// transaction — the distribution behind the crash experiment's -hist
+// output — while the recorder (if tracing) captures every persist
+// instant and RSR re-encryption span the machine emits. Setup traffic
+// is excluded: the recorder attaches after setup, matching how crash
+// points are counted.
 func ReferenceRun(p Params, rec *obs.Recorder) ([]int, error) {
-	p = p.withDefaults()
-	m, err := machine.New(p.Mode, p.Key)
-	if err != nil {
-		return nil, err
-	}
-	w, tm, err := build(p, m)
-	if err != nil {
-		return nil, err
-	}
-	m.SetRecorder(rec)
-	counts := make([]int, 0, p.Steps)
-	prev := m.Persists()
-	for i := 0; i < p.Steps; i++ {
-		if err := w.Step(tm); err != nil {
-			return nil, fmt.Errorf("crash: reference step %d: %w", i, err)
-		}
-		counts = append(counts, m.Persists()-prev)
-		// The machine has no cycle clock, so the "latency" histogram
-		// measures transactions in persist steps.
-		rec.Observe(obs.HistTxLatency, uint64(m.Persists()-prev))
-		prev = m.Persists()
-	}
-	rec.Finish(uint64(m.Persists()))
-	if err := w.Verify(m); err != nil {
-		return nil, fmt.Errorf("crash: reference run verify: %w", err)
-	}
-	return counts, nil
+	pr, err := profileRun(p.withDefaults(), rec)
+	return pr.txPersists, err
 }
 
 // recoverDrained boots the crashed machine's successor (opts can arm a

@@ -28,6 +28,17 @@ func TestRunWithoutCrashVerifies(t *testing.T) {
 	}
 }
 
+// sweep fuzzes one mode on one workload at every crash point of the
+// run, without nested crashes, and returns its verdict.
+func sweep(t *testing.T, mode machine.Mode, wl string, steps int) ModeVerdict {
+	t.Helper()
+	res, err := Fuzz(FuzzParams{Workload: wl, Steps: steps, Modes: []machine.Mode{mode}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Verdicts[0]
+}
+
 // The headline crash-safety property: on a SuperMem machine, EVERY
 // persistence-step crash point leaves every workload recoverable to a
 // transaction boundary.
@@ -35,17 +46,12 @@ func TestSuperMemSweepAllWorkloads(t *testing.T) {
 	for _, wl := range workload.Names {
 		wl := wl
 		t.Run(wl, func(t *testing.T) {
-			p := Params{Mode: machine.WTRegister, Workload: wl, Steps: 6}
-			stride := 3 // sample every third point to keep the suite fast
-			res, err := Sweep(p, stride)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Crashed == 0 {
+			v := sweep(t, machine.WTRegister, wl, 6)
+			if v.Crashed == 0 {
 				t.Fatal("sweep never crashed — no points exercised")
 			}
-			if !res.Consistent() {
-				r := res.Inconsistent[0]
+			if !v.Consistent() {
+				r := v.Inconsistent[0]
 				t.Fatalf("crash@%d after %d txs: %s", r.CrashStep, r.CompletedSteps, r.Detail)
 			}
 		})
@@ -56,32 +62,21 @@ func TestSuperMemSweepAllWorkloads(t *testing.T) {
 // some crash points (Table 1's No rows), observed through real
 // decryption failures.
 func TestWBNoBatteryCorrupts(t *testing.T) {
-	p := Params{Mode: machine.WBNoBattery, Workload: "array", Steps: 6}
-	res, err := Sweep(p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Consistent() {
+	if sweep(t, machine.WBNoBattery, "array", 6).Consistent() {
 		t.Fatal("write-back without battery survived every crash point — the vulnerability is not modelled")
 	}
 }
 
 func TestBatteryRestoresConsistency(t *testing.T) {
-	p := Params{Mode: machine.WBBattery, Workload: "array", Steps: 5}
-	res, err := Sweep(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Consistent() {
-		r := res.Inconsistent[0]
+	if v := sweep(t, machine.WBBattery, "array", 5); !v.Consistent() {
+		r := v.Inconsistent[0]
 		t.Fatalf("battery-backed machine inconsistent at crash@%d: %s", r.CrashStep, r.Detail)
 	}
 }
 
 // The replay memo hands one n-step replay to every crash point, so two
-// replays of the same seed must agree byte for byte: the same op
-// stream, the same lines with the same contents, and each verifies the
-// other's backend.
+// replays of the same seed must agree byte for byte: the same lines
+// with the same contents, and each verifies the other's memory.
 func TestReplayDeterminism(t *testing.T) {
 	p := Params{Mode: machine.WTRegister, Workload: "rbtree", Steps: 8}.withDefaults()
 	w1, b1, err := replay(p, 8)
@@ -91,10 +86,6 @@ func TestReplayDeterminism(t *testing.T) {
 	w2, b2, err := replay(p, 8)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Ops first: Load below appends Read ops.
-	if !reflect.DeepEqual(b1.Ops(), b2.Ops()) {
-		t.Fatal("replays recorded different op streams")
 	}
 	lines := b1.Lines()
 	if !reflect.DeepEqual(lines, b2.Lines()) {
@@ -121,7 +112,7 @@ func TestSharedReplayVerifiesConcurrently(t *testing.T) {
 	for _, wl := range workload.Names {
 		p := Params{Mode: machine.WTRegister, Workload: wl, Steps: 4}.withDefaults()
 		replays := newReplayMemo(p)
-		backends := make([]*pmem.TracingBackend, workers)
+		backends := make([]*pmem.Memory, workers)
 		for i := range backends {
 			var err error
 			if _, backends[i], err = replay(p, p.Steps); err != nil {
@@ -152,17 +143,6 @@ func TestSharedReplayVerifiesConcurrently(t *testing.T) {
 	}
 }
 
-func TestSweepString(t *testing.T) {
-	p := Params{Mode: machine.WTRegister, Workload: "queue", Steps: 3}
-	res, err := Sweep(p, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := res.String(); s == "" {
-		t.Fatal("empty sweep summary")
-	}
-}
-
 func TestCountPersistsPositive(t *testing.T) {
 	p := Params{Mode: machine.WTRegister, Workload: "queue", Steps: 3}.withDefaults()
 	n, err := TotalPersists(p)
@@ -171,45 +151,6 @@ func TestCountPersistsPositive(t *testing.T) {
 	}
 	if n <= 0 {
 		t.Fatalf("TotalPersists = %d", n)
-	}
-}
-
-// Regression: Sweep used to skip the last-window crash points whenever
-// the stride did not divide the persist count, so the final persist —
-// the commit-record flush, the most interesting point of all — was
-// never exercised. Any stride must now test both endpoints.
-func TestSweepAlwaysTestsFinalPersist(t *testing.T) {
-	p := Params{Mode: machine.WTRegister, Workload: "queue", Steps: 3}
-	total, err := TotalPersists(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total < 3 {
-		t.Fatalf("TotalPersists = %d, too few to make the stride interesting", total)
-	}
-	// A stride larger than the whole run: only the endpoints remain.
-	res, err := Sweep(p, total*10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalPoints != 2 {
-		t.Fatalf("stride > total tested %d points, want both endpoints {0, %d}", res.TotalPoints, total-1)
-	}
-	if res.Crashed != 2 {
-		t.Fatalf("endpoints tested but only %d crashed — final persist index %d out of range?", res.Crashed, total-1)
-	}
-	// A non-dividing stride: the regular cadence plus the final index.
-	stride := total - 1
-	res, err = Sweep(p, stride)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (total-1)/stride + 1 // points 0, stride, ...
-	if (total-1)%stride != 0 {
-		want++
-	}
-	if res.TotalPoints != want {
-		t.Fatalf("stride %d over %d persists tested %d points, want %d", stride, total, res.TotalPoints, want)
 	}
 }
 
@@ -222,13 +163,8 @@ func TestBadWorkload(t *testing.T) {
 // Osiris recovers its relaxed counters by probing, so structure-level
 // crash sweeps stay consistent despite unpersisted counters.
 func TestOsirisSweepConsistent(t *testing.T) {
-	p := Params{Mode: machine.Osiris, Workload: "queue", Steps: 5}
-	res, err := Sweep(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Consistent() {
-		r := res.Inconsistent[0]
+	if v := sweep(t, machine.Osiris, "queue", 5); !v.Consistent() {
+		r := v.Inconsistent[0]
 		t.Fatalf("Osiris crash@%d after %d txs: %s", r.CrashStep, r.CompletedSteps, r.Detail)
 	}
 }

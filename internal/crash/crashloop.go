@@ -1,6 +1,10 @@
 package crash
 
-import "supermem/internal/machine"
+import (
+	"fmt"
+
+	"supermem/internal/machine"
+)
 
 // This file is the malicious crash-loop driver: an attacker who can
 // force power failures (or panic loops) crashes the machine at the
@@ -14,39 +18,8 @@ import "supermem/internal/machine"
 // TotalPersists measures the persist steps the workload's transactions
 // consume crash-free — the domain of valid crash points.
 func TotalPersists(p Params) (int, error) {
-	total, _, err := persistProfile(p.withDefaults())
-	return total, err
-}
-
-// RecoveryCost measures the persistence micro-steps one uninterrupted
-// recovery consumes after a crash at crashAt (RSR completion plus
-// redo-log reapply). Zero means the crash point needed no recovery
-// writes, or lies outside the run.
-func RecoveryCost(p Params, crashAt int) (int, error) {
-	if crashAt < 0 {
-		return 0, nil // an unarmed crash never fires
-	}
-	costs, err := RecoveryCosts(p, []int{crashAt})
-	if err != nil {
-		return 0, err
-	}
-	return costs[0], nil
-}
-
-// RecoveryCosts is RecoveryCost at each of the non-decreasing,
-// non-negative points, all forked from one crash-free run (forkRun)
-// instead of one run per point. A point beyond the run costs zero.
-func RecoveryCosts(p Params, points []int) ([]int, error) {
-	costs := make([]int, len(points))
-	err := forkRun(p.withDefaults(), points, func(f fork) error {
-		r, _, _ := recoverDrained(f.m)
-		costs[f.i] = r.Persists()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return costs, nil
+	pr, err := profileRun(p.withDefaults(), nil)
+	return pr.total, err
 }
 
 // LoopResult reports one crash+recover iteration of the crash loop.
@@ -69,29 +42,37 @@ type LoopResult struct {
 	Consistent bool `json:"consistent"`
 }
 
-// RunLoopIteration crashes at crashAt, recovers under the given
+// RunLoop crashes at each of the non-decreasing points (persist
+// indexes counted from the end of setup), all forked from one
+// crash-free run (forkRun). Each crash recovers under the given
 // recovery-work bound (0 = unbounded), resumes staged recovery until no
-// work is pending, reapplies the redo log, and verifies the recovered
-// state against a deterministic replay.
-func RunLoopIteration(p Params, crashAt, bound int) (LoopResult, error) {
+// work is pending, reapplies the redo log, and is verified against a
+// deterministic replay from one memo every point shares. A point
+// beyond the run is an error.
+func RunLoop(p Params, points []int, bound int) ([]LoopResult, error) {
 	p = p.withDefaults()
-	m, w, completed, err := runToCrash(p, crashAt, nil)
+	out := make([]LoopResult, len(points))
+	replays := newReplayMemo(p)
+	reached := 0
+	err := forkRun(p, points, func(f fork) error {
+		r, passes, maxPass := recoverDrained(f.m, machine.WithRecoveryBound(bound))
+		ok, err := replays.matches(r, f.completed)
+		out[f.i] = LoopResult{
+			CrashAt:          points[f.i],
+			RecoveryPersists: r.Persists(),
+			Passes:           passes,
+			MaxPassPersists:  maxPass,
+			BoundedPasses:    r.BoundedRecoveries(),
+			Consistent:       ok,
+		}
+		reached++
+		return err
+	})
 	if err != nil {
-		return LoopResult{}, err
+		return nil, err
 	}
-	out := LoopResult{CrashAt: crashAt, Passes: 0}
-	if !m.Crashed() {
-		out.Consistent = w.Verify(m) == nil
-		return out, nil
+	if reached < len(points) {
+		return nil, fmt.Errorf("crash: crash point %d lies beyond the run", points[reached])
 	}
-	r, passes, maxPass := recoverDrained(m, machine.WithRecoveryBound(bound))
-	out.Passes, out.MaxPassPersists = passes, maxPass
-	out.BoundedPasses = r.BoundedRecoveries()
-	out.RecoveryPersists = r.Persists()
-	ok, err := newReplayMemo(p).matches(r, completed)
-	if err != nil {
-		return LoopResult{}, err
-	}
-	out.Consistent = ok
 	return out, nil
 }

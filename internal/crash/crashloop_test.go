@@ -24,25 +24,30 @@ func TestCrashLoopBoundStagesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worstAt, worstCost := -1, -1
-	for at := 0; at < total; at++ {
-		cost, err := RecoveryCost(p, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cost > worstCost {
-			worstAt, worstCost = at, cost
+	points := make([]int, total)
+	for i := range points {
+		points[i] = i
+	}
+	scan, err := RunLoop(p, points, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A point the run never reaches is refused, not reported as a
+	// recovery that did not happen.
+	if _, err := RunLoop(p, []int{total}, 0); err == nil {
+		t.Fatalf("crash point %d, past the run's last persist, accepted", total)
+	}
+	unbounded := scan[0]
+	for _, r := range scan {
+		if r.RecoveryPersists > unbounded.RecoveryPersists {
+			unbounded = r
 		}
 	}
 	// A mid-RSR crash must exist: the hammer's whole point is that
 	// recovery re-encrypts most of a page.
-	if worstCost < 32 {
-		t.Fatalf("worst recovery cost %d at %d — hammer never armed a re-encryption storm", worstCost, worstAt)
-	}
-
-	unbounded, err := RunLoopIteration(p, worstAt, 0)
-	if err != nil {
-		t.Fatal(err)
+	if unbounded.RecoveryPersists < 32 {
+		t.Fatalf("worst recovery cost %d at %d — hammer never armed a re-encryption storm",
+			unbounded.RecoveryPersists, unbounded.CrashAt)
 	}
 	if !unbounded.Consistent {
 		t.Fatal("unbounded recovery left inconsistent state")
@@ -53,10 +58,11 @@ func TestCrashLoopBoundStagesRecovery(t *testing.T) {
 	}
 
 	const bound = 8
-	bounded, err := RunLoopIteration(p, worstAt, bound)
+	loop, err := RunLoop(p, []int{unbounded.CrashAt}, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bounded := loop[0]
 	if !bounded.Consistent {
 		t.Fatal("bounded recovery left inconsistent state")
 	}

@@ -97,7 +97,7 @@ func TestGeneratedPlanSurvivable(t *testing.T) {
 // the RSR.
 func TestFaultMidRSRReencryptionDetected(t *testing.T) {
 	for _, mode := range []machine.Mode{machine.WTRegister, machine.Osiris} {
-		m, err := machine.New(mode, []byte("crash-fuzz-key.."))
+		m, err := newMachine(Params{Mode: mode}.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,10 +55,11 @@ func recoverNested(m *machine.Machine, rec int) (first, final successor) {
 
 // A fork is the machine runToCrash leaves at the same point: for every
 // workload, mode and outer crash point, the two report the same crash,
-// and recovering either — plainly, or with a nested crash at the first
-// recovery persist or mid-recovery — leaves the same successor. The
-// counter hammer adds forks taken mid page re-encryption, with the RSR
-// armed. Each fork is recovered twice: inside the run, paused at the
+// and recovering either — plainly, with a nested crash at the first
+// recovery persist or mid-recovery, or in stages under a recovery-work
+// bound — leaves the same successor. The counter hammer adds forks
+// taken mid page re-encryption, with the RSR armed, where the bound
+// bites. Each fork is recovered twice: inside the run, paused at the
 // fork's persist, and again after the run has finished, when any state
 // the fork shares with the run (beyond the key-pure pad cache) that the
 // run went on mutating shows as a different successor.
@@ -73,14 +74,15 @@ func TestForkedCrashMatchesRunToCrash(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			base = base.withDefaults()
-			nestedStruck := 0
+			nestedStruck, boundBit := 0, 0
 			for _, mode := range AllModes {
 				p := base
 				p.Mode = mode
-				total, _, err := persistProfile(p)
+				pr, err := profileRun(p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
+				total := pr.total
 				points := make([]int, total)
 				for i := range points {
 					points[i] = i
@@ -125,10 +127,26 @@ func TestForkedCrashMatchesRunToCrash(t *testing.T) {
 							nestedStruck++
 						}
 					}
+					const bound = 8
+					want, wantPasses, wantMax := recoverDrained(m, machine.WithRecoveryBound(bound))
+					got, gotPasses, gotMax := recoverDrained(f.m, machine.WithRecoveryBound(bound))
+					if gotPasses != wantPasses || gotMax != wantMax || got.BoundedRecoveries() != want.BoundedRecoveries() {
+						t.Fatalf("%s bound %d: fork ran %d passes (largest %d, %d bounded), runToCrash %d (largest %d, %d bounded)",
+							where, bound, gotPasses, gotMax, got.BoundedRecoveries(), wantPasses, wantMax, want.BoundedRecoveries())
+					}
+					if g, w := successorOf(got), successorOf(want); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s bound %d: forked successor\n%+v\nrunToCrash successor\n%+v", where, bound, g, w)
+					}
+					if want.BoundedRecoveries() > 0 {
+						boundBit++
+					}
 				}
 			}
 			if nestedStruck == 0 {
 				t.Fatal("no nested crash struck: the nested comparisons are vacuous")
+			}
+			if name == "ctrhammer" && boundBit == 0 {
+				t.Fatal("the recovery bound never bit mid re-encryption: the bounded comparisons are vacuous")
 			}
 		})
 	}

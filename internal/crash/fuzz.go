@@ -16,16 +16,15 @@ import (
 	"supermem/internal/workload"
 )
 
-// The differential crash-consistency fuzzer. Where Sweep checks one
-// machine mode with a fixed stride, Fuzz explores a workload's crash
-// points exhaustively (small runs) or by stage-weighted random sampling
-// (large runs), optionally injects *nested* crashes at every
-// persistence micro-step of the recovery path (the RSR re-encryption
-// state machine and the redo-log reapply), runs every point across all
-// machine modes, and checks each mode's verdict against Table 1's
-// expected recoverability. Failing points are shrunk to the earliest
-// failing persist index and reported with the divergent byte ranges and
-// counter lines.
+// The differential crash-consistency fuzzer. Fuzz explores a
+// workload's crash points exhaustively (small runs) or by
+// stage-weighted random sampling (large runs), optionally injects
+// *nested* crashes at every persistence micro-step of the recovery
+// path (the RSR re-encryption state machine and the redo-log reapply),
+// runs every point across all machine modes, and checks each mode's
+// verdict against Table 1's expected recoverability. Failing points
+// are shrunk to the earliest failing persist index and reported with
+// the divergent byte ranges and counter lines.
 
 // AllModes lists every machine design the differential fuzzer sweeps,
 // in mode registration order (Table 1 order plus the baselines). It is
@@ -290,16 +289,16 @@ func Fuzz(fp FuzzParams) (*FuzzResult, error) {
 // the points in order, so the verdict tallies them as they come.
 func fuzzMode(fp FuzzParams, mode machine.Mode, replays *replayMemo) (ModeVerdict, error) {
 	p := fp.params(mode)
-	total, stageStarts, err := persistProfile(p)
+	pr, err := profileRun(p, nil)
 	if err != nil {
 		return ModeVerdict{}, err
 	}
-	// persistProfile counted the points on the run forkRun repeats, so
-	// the run reaches every one.
-	points := samplePoints(total, stageStarts, fp.MaxPoints, fp.SampleSeed)
+	// The profile is the run forkRun repeats, so that run reaches every
+	// point.
+	points := samplePoints(pr.total, pr.stageStarts, fp.MaxPoints, fp.SampleSeed)
 	v := ModeVerdict{
 		Mode: mode, Name: mode.String(),
-		TotalPoints: total, Tested: len(points),
+		TotalPoints: pr.total, Tested: len(points),
 		ExpectedOK: ExpectedConsistent(mode, fp.Workload),
 	}
 	tally := func(res Result) {
@@ -505,13 +504,13 @@ func shrink(p Params, fail Result, replays *replayMemo) (*Shrink, error) {
 		if sh.Detail == "" {
 			sh.Detail = res.Detail
 		}
-		// A fresh replay, not the memo's: diffLines reads the backend,
-		// and TracingBackend.Load grows it.
-		_, tb, err := replay(p, res.CompletedSteps)
+		// A fresh replay, not the memo's: the memo keeps only
+		// workloads, and diffLines reads the replayed memory.
+		_, mem, err := replay(p, res.CompletedSteps)
 		if err != nil {
 			return nil, err
 		}
-		sh.Diffs = diffLines(r, tb)
+		sh.Diffs = diffLines(r, mem)
 	}
 	return sh, nil
 }
@@ -520,12 +519,12 @@ func shrink(p Params, fail Result, replays *replayMemo) (*Shrink, error) {
 const maxDiffs = 8
 
 // diffLines compares the recovered machine's heap view against the
-// replay backend's, line by line, reporting the divergent byte ranges
+// replayed memory's, line by line, reporting the divergent byte ranges
 // and the counter pair each divergent line decrypts under. The log
 // region is excluded — its contents legitimately differ (the replay
 // never crashed, so its log holds the last transaction un-invalidated
 // from recovery's perspective).
-func diffLines(r *machine.Machine, tb *pmem.TracingBackend) []LineDiff {
+func diffLines(r *machine.Machine, mem *pmem.Memory) []LineDiff {
 	seen := make(map[uint64]bool)
 	var lines []uint64
 	add := func(addrs []uint64) {
@@ -537,13 +536,13 @@ func diffLines(r *machine.Machine, tb *pmem.TracingBackend) []LineDiff {
 		}
 	}
 	add(r.NVMLines())
-	add(tb.Lines())
+	add(mem.Lines())
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 
 	var out []LineDiff
 	for _, base := range lines {
 		got := r.Load(base, config.LineSize)
-		want := tb.Load(base, config.LineSize)
+		want := mem.Load(base, config.LineSize)
 		if bytes.Equal(got, want) {
 			continue
 		}

@@ -79,7 +79,7 @@ func TestFuzzReturnsLowestFailingMode(t *testing.T) {
 // Fuzz crashes each point once, recovers that one machine for the
 // outer and every nested check, and memoizes replays. The oracle is the
 // algorithm without that sharing, built from independent calls per
-// point — Run, RecoveryCost, RunNested — with a shrink whose every
+// point — Run, RunLoop, RunNested — with a shrink whose every
 // probe reruns the workload. The verdicts must be identical, minimized
 // failures included.
 func TestFuzzMatchesIndependentRuns(t *testing.T) {
@@ -123,14 +123,14 @@ func TestFuzzMatchesIndependentRuns(t *testing.T) {
 
 func independentVerdict(fp FuzzParams, mode machine.Mode) (ModeVerdict, error) {
 	p := fp.params(mode)
-	total, stageStarts, err := persistProfile(p)
+	pr, err := profileRun(p, nil)
 	if err != nil {
 		return ModeVerdict{}, err
 	}
-	points := samplePoints(total, stageStarts, fp.MaxPoints, fp.SampleSeed)
+	points := samplePoints(pr.total, pr.stageStarts, fp.MaxPoints, fp.SampleSeed)
 	v := ModeVerdict{
 		Mode: mode, Name: mode.String(),
-		TotalPoints: total, Tested: len(points),
+		TotalPoints: pr.total, Tested: len(points),
 		ExpectedOK: ExpectedConsistent(mode, fp.Workload),
 	}
 	for _, crashAt := range points {
@@ -141,11 +141,11 @@ func independentVerdict(fp FuzzParams, mode machine.Mode) (ModeVerdict, error) {
 		results := []Result{outer}
 		if outer.Crashed {
 			v.Crashed++
-			rp, err := RecoveryCost(p, crashAt)
+			loop, err := RunLoop(p, []int{crashAt}, 0)
 			if err != nil {
 				return ModeVerdict{}, err
 			}
-			for _, j := range sampleNested(rp, fp.MaxNested, fp.SampleSeed, crashAt) {
+			for _, j := range sampleNested(loop[0].RecoveryPersists, fp.MaxNested, fp.SampleSeed, crashAt) {
 				nres, err := RunNested(p, crashAt, j)
 				if err != nil {
 					return ModeVerdict{}, err
@@ -267,14 +267,18 @@ func TestNestedRecoveryCrashesConsistent(t *testing.T) {
 	// crash mid-mutate, after the log seals, forces a redo reapply); a
 	// crash during prepare leaves an unsealed log and recovery writes
 	// nothing, which would make the nested sweep vacuous.
-	crashAt, rp := -1, 0
+	var late []int
 	for c := total / 2; c < total; c++ {
-		n, err := RecoveryCost(p, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n > 0 {
-			crashAt, rp = c, n
+		late = append(late, c)
+	}
+	loop, err := RunLoop(p, late, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashAt, rp := -1, 0
+	for _, r := range loop {
+		if r.RecoveryPersists > 0 {
+			crashAt, rp = r.CrashAt, r.RecoveryPersists
 			break
 		}
 	}

@@ -66,12 +66,14 @@ func (r *refTracing) Lines() []uint64 {
 	return out
 }
 
-// TestTracingBackendMatchesLineMap drives TracingBackend and the
-// map-of-lines reference with the same random Load, Store, CLWB,
-// SFence and Mark sequences. Accesses run up to 300 bytes from any
-// offset, so they cross line and page boundaries, and some pages are
-// only ever loaded. Every Load must return the same bytes, and the two
-// must end with the same op stream and the same touched-line set.
+// TestTracingBackendMatchesLineMap drives TracingBackend, the
+// non-recording Memory and the map-of-lines reference with the same
+// random Load, Store, CLWB, SFence and Mark sequences (Memory takes no
+// marks). Accesses run up to 300 bytes from any offset, so they cross
+// line and page boundaries, and some pages are only ever loaded. Every
+// Load must return the same bytes from all three, the tracing backend
+// must end with the reference's op stream, and all three with the same
+// touched-line set.
 func TestTracingBackendMatchesLineMap(t *testing.T) {
 	// Four adjacent pages, one isolated page that is only ever loaded,
 	// and one far page that straddles a 32-bit boundary.
@@ -86,6 +88,7 @@ func TestTracingBackendMatchesLineMap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		got := NewTracingBackend()
+		mem := NewMemory()
 		ref := &refTracing{mem: map[uint64][]byte{}}
 		for step := 0; step < 2000; step++ {
 			r := regions[rng.Intn(len(regions))]
@@ -93,21 +96,24 @@ func TestTracingBackendMatchesLineMap(t *testing.T) {
 			n := rng.Intn(301)
 			switch op := rng.Intn(10); {
 			case op < 4 || r.loadOnly && op < 8:
-				g, w := got.Load(addr, n), ref.Load(addr, n)
-				if !bytes.Equal(g, w) {
-					t.Fatalf("seed %d step %d: Load(%#x, %d) = %x, want %x", seed, step, addr, n, g, w)
+				g, m, w := got.Load(addr, n), mem.Load(addr, n), ref.Load(addr, n)
+				if !bytes.Equal(g, w) || !bytes.Equal(m, w) {
+					t.Fatalf("seed %d step %d: Load(%#x, %d) = %x (tracing), %x (memory), want %x", seed, step, addr, n, g, m, w)
 				}
 			case op < 8:
 				data := make([]byte, n)
 				rng.Read(data)
 				got.Store(addr, data)
+				mem.Store(addr, data)
 				ref.Store(addr, data)
 			case op == 8:
 				got.CLWB(addr)
+				mem.CLWB(addr)
 				ref.CLWB(addr)
 			default:
 				if rng.Intn(2) == 0 {
 					got.SFence()
+					mem.SFence()
 					ref.SFence()
 				} else {
 					m := trace.Op{Kind: trace.Compute, Arg: uint64(n)}
@@ -119,8 +125,12 @@ func TestTracingBackendMatchesLineMap(t *testing.T) {
 		if !slices.Equal(got.Ops(), ref.ops) {
 			t.Fatalf("seed %d: op streams differ (%d vs %d ops)", seed, len(got.Ops()), len(ref.ops))
 		}
-		if g, w := got.Lines(), ref.Lines(); !slices.Equal(g, w) {
+		w := ref.Lines()
+		if g := got.Lines(); !slices.Equal(g, w) {
 			t.Fatalf("seed %d: Lines = %d lines, want %d:\n got %x\nwant %x", seed, len(g), len(w), g, w)
+		}
+		if m := mem.Lines(); !slices.Equal(m, w) {
+			t.Fatalf("seed %d: Memory.Lines = %d lines, want %d:\n got %x\nwant %x", seed, len(m), len(w), m, w)
 		}
 	}
 }

@@ -352,18 +352,6 @@ const (
 	CrashOsiris = machine.Osiris
 )
 
-// CrashSweepResult aggregates a crash-point sweep.
-type CrashSweepResult = crash.SweepResult
-
-// CrashSweep runs the workload on the byte-accurate machine, injecting
-// a power failure at every stride-th persistence step, recovering, and
-// verifying the structure's invariants against a deterministic replay.
-// On a SuperMem machine every point is consistent; without a battery or
-// the register, some are not.
-func CrashSweep(mode CrashMode, workloadName string, steps, stride int) (CrashSweepResult, error) {
-	return crash.Sweep(crash.Params{Mode: mode, Workload: workloadName, Steps: steps}, stride)
-}
-
 // CrashModes lists every machine design the differential crash fuzzer
 // sweeps, in Table 1 order plus the baselines.
 func CrashModes() []CrashMode { return append([]CrashMode(nil), crash.AllModes...) }

@@ -96,16 +96,6 @@ func TestDefaultConfigIsTable2(t *testing.T) {
 	}
 }
 
-func TestCrashSweepPublicAPI(t *testing.T) {
-	res, err := supermem.CrashSweep(supermem.CrashSuperMem, "array", 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Consistent() {
-		t.Fatalf("SuperMem crash sweep inconsistent: %v", res.Inconsistent[0].Detail)
-	}
-}
-
 func TestCrashFuzzPublicAPI(t *testing.T) {
 	if n := len(supermem.CrashModes()); n != 9 {
 		t.Fatalf("CrashModes lists %d designs, want 9", n)
